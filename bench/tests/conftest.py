@@ -1,0 +1,5 @@
+# Makes the benchmark's modules (bench/*.py) importable from its tests.
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
