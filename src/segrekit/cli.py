@@ -9,6 +9,7 @@ pattern.
 
 import argparse
 import json
+import os
 import sys
 
 from .jordan import (IrrationalEigenvalueError, JordanSpec, analyze,
@@ -112,8 +113,14 @@ def cmd_analyze(args) -> int:
             data = json.load(fh)
     except OSError as exc:
         return _fail(f"cannot read {args.matrix_file}: {exc}", EXIT_USAGE)
+    except UnicodeDecodeError as exc:
+        return _fail(f"{args.matrix_file} is not UTF-8 text: {exc}", EXIT_USAGE)
     except json.JSONDecodeError as exc:
         return _fail(f"{args.matrix_file} is not valid JSON: {exc}", EXIT_USAGE)
+    except ValueError as exc:
+        # int() refuses decimal literals beyond sys.get_int_max_str_digits()
+        return _fail(f"{args.matrix_file} holds a number too long to read: {exc}",
+                     EXIT_USAGE)
     try:
         matrix = matrix_from_json_dict(data)
     except ValueError as exc:
@@ -195,8 +202,21 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Console script entry point."""
-    sys.exit(main())
+    """Console script entry point.
+
+    A reader that closes the pipe early (`segre enumerate 12 | head -1`)
+    ends the run quietly with exit code 0.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at devnull
+        # so that flush cannot fail too (recipe from the `signal` docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

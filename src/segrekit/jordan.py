@@ -9,8 +9,9 @@ block sizes -> canonical Segre characteristic.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (ExactMatrix, mat_mul, rank, rational_eigenvalues, shift,
-                     _as_fraction)
+from .linalg import (ExactMatrix, InternalInconsistencyError, shift,
+                     _as_fraction, _int_char_poly, _int_mat_mul, _int_rank,
+                     _rational_roots, _scaled_rows)
 from .partitions import Partition
 from .rank_analysis import RankPattern, blocks_from_rank_pattern
 from .segre import SegreCharacteristic
@@ -29,10 +30,6 @@ class IrrationalEigenvalueError(ValueError):
             "matrix has irrational or non-real eigenvalues "
             f"(irreducible remainder of degree {remainder_degree})")
         self.remainder_degree = remainder_degree
-
-
-class InternalInconsistencyError(RuntimeError):
-    """Two independent computations disagreed; indicates a bug, not bad input."""
 
 
 class JordanSpec:
@@ -139,47 +136,62 @@ def build_jordan(spec: JordanSpec) -> ExactMatrix:
     return ExactMatrix.from_rows(entries)
 
 
-def rank_pattern_of(a: ExactMatrix, lam) -> RankPattern:
-    """Ranks of (a - lam*I)^k for k = 0, 1, ... until they stabilize.
-
-    For a non-eigenvalue lam this is the length-1 pattern (n,).
-    """
-    if not a.is_square:
-        raise ValueError("rank patterns require a square matrix")
-    n = a.rows
-    shifted = shift(a, lam)
-    ranks = [n]
+def _rank_pattern(b: list[list[int]], mu: int) -> list[int]:
+    """Ranks of (b - mu*I)^k for an integer matrix b, k = 0, 1, ... until
+    they stabilize."""
+    shifted = [list(row) for row in b]
+    for i, row in enumerate(shifted):
+        row[i] -= mu
+    ranks = [len(b)]
     power = shifted
     while True:
-        r = rank(power)
+        r = _int_rank(power)
         if r == ranks[-1]:
             break
         ranks.append(r)
         if r == 0:
             break
-        power = mat_mul(power, shifted)
-    return RankPattern(n, ranks)
+        power = _int_mat_mul(power, shifted)
+    return ranks
+
+
+def rank_pattern_of(a: ExactMatrix, lam) -> RankPattern:
+    """Ranks of (a - lam*I)^k for k = 0, 1, ... until they stabilize.
+
+    For a non-eigenvalue lam this is the length-1 pattern (n,).  Scaling
+    a - lam*I by the lcm of its denominators changes no rank.
+    """
+    if not a.is_square:
+        raise ValueError("rank patterns require a square matrix")
+    return RankPattern(a.rows, _rank_pattern(_scaled_rows(shift(a, lam))[0], 0))
 
 
 def analyze(a: ExactMatrix) -> AnalysisReport:
     """Recover the Segre characteristic of a rational matrix.
 
-    Sweeps the rational eigenvalues in ascending order, measures each rank
-    pattern with exact elimination, converts to block sizes, and
-    cross-checks the blocks against the algebraic multiplicity from the
-    characteristic polynomial.  Raises IrrationalEigenvalueError when the
-    spectrum is not rational and InternalInconsistencyError if the
-    cross-check ever fails (which would mean a bug in the arithmetic).
+    Scales once to the integer matrix B = d*a.  Its characteristic
+    polynomial is monic, so its rational roots mu = d*lam are integers, and
+    rank((B - mu*I)^k) = rank((a - lam*I)^k); everything up to the reported
+    eigenvalues mu/d is integer arithmetic.  Sweeps the eigenvalues in
+    ascending order, measures each rank pattern with exact elimination,
+    converts to block sizes, and cross-checks the blocks against the
+    algebraic multiplicity from the characteristic polynomial.  Raises
+    IrrationalEigenvalueError when the spectrum is not rational and
+    InternalInconsistencyError if the cross-check ever fails (which would
+    mean a bug in the arithmetic).
     """
     if not a.is_square:
         raise ValueError("analysis requires a square matrix")
-    eigs, remainder = rational_eigenvalues(a)
+    b, d = _scaled_rows(a)
+    roots, remainder = _rational_roots(_int_char_poly(b))
     if remainder > 0:
         raise IrrationalEigenvalueError(remainder)
+    n = a.rows
     reports = []
     groups = []
-    for lam, multiplicity in eigs:
-        pattern = rank_pattern_of(a, lam)
+    for mu, _, multiplicity in sorted(roots):  # monic: every root is an integer
+        lam = Fraction(mu, d)
+        pattern = RankPattern(n, _rank_pattern(b, mu))
         blocks = blocks_from_rank_pattern(pattern)
         if blocks.weight != multiplicity:
             raise InternalInconsistencyError(
@@ -188,8 +200,8 @@ def analyze(a: ExactMatrix) -> AnalysisReport:
         reports.append(EigenvalueReport(lam, pattern, blocks))
         groups.append(blocks)
     total = sum(g.weight for g in groups)
-    if total != a.rows:
+    if total != n:
         raise InternalInconsistencyError(
-            f"blocks cover {total} of {a.rows} dimensions")
+            f"blocks cover {total} of {n} dimensions")
     segre = SegreCharacteristic(groups).canonical()
     return AnalysisReport(segre, tuple(reports))

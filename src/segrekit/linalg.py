@@ -1,16 +1,30 @@
 """Exact dense linear algebra over the rationals.
 
-No floating point anywhere: entries are fractions.Fraction (always lowest
-terms, exact big-integer arithmetic), ranks come from fraction-free
-Bareiss elimination on denominator-cleared rows, and characteristic
-polynomials from the Faddeev-LeVerrier recurrence.
+No floating point anywhere.  ExactMatrix, the type for parsing and
+output, holds fractions.Fraction entries (always lowest terms).  The work
+itself is done by an integer core: a matrix is scaled once to d*A, with d
+the lcm of its entry denominators, and from then on every kernel runs on
+lists of rows of Python ints.  Products take inner products with
+sum(map(mul, row, col)), ranks come from fraction-free Bareiss
+elimination, characteristic polynomials from the Faddeev-LeVerrier
+recurrence with exact integer division, and rational roots from the
+rational root theorem with integer evaluation.  Every exactness the
+integer arithmetic relies on is checked, and a failed check raises
+InternalInconsistencyError, which python -O does not remove.  The public
+functions taking an ExactMatrix are thin wrappers over these kernels.
 """
 
 import math
-from fractions import Fraction
 from collections.abc import Iterable, Sequence
+from fractions import Fraction
+from operator import mul
 
 Rational = Fraction
+
+
+class InternalInconsistencyError(RuntimeError):
+    """Two independent computations disagreed, or a division that exact
+    arithmetic guarantees left a remainder; indicates a bug, not bad input."""
 
 
 def _as_fraction(value) -> Fraction:
@@ -141,19 +155,16 @@ class ExactMatrix:
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product."""
+    """Exact matrix product: both operands are scaled to integers, multiplied
+    by the integer kernel, and the product divided by the two scale factors."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    n, k, m = a.rows, a.cols, b.cols
-    arows = [a.row(i) for i in range(n)]
-    bcols = [[b.entry(t, j) for t in range(k)] for j in range(m)]
-    out = []
-    for i in range(n):
-        ar = arows[i]
-        for j in range(m):
-            bc = bcols[j]
-            out.append(sum(ar[t] * bc[t] for t in range(k)))
-    return ExactMatrix(n, m, out)
+    ia, da = _scaled_rows(a)
+    ib, db = _scaled_rows(b)
+    d = da * db
+    return ExactMatrix(a.rows, b.cols, (Fraction(x, d)
+                                        for row in _int_mat_mul(ia, ib)
+                                        for x in row))
 
 
 def mat_pow(a: ExactMatrix, k: int) -> ExactMatrix:
@@ -188,58 +199,101 @@ def clear_denominators(a: ExactMatrix) -> tuple[ExactMatrix, int]:
     Returns (d*a, d); d is the lcm of all entry denominators (1 for an
     integer matrix).
     """
-    d = 1
-    for e in a._entries:
-        d = d * e.denominator // math.gcd(d, e.denominator)
+    rows, d = _scaled_rows(a)
     if d == 1:
         return a, 1
-    return a * d, d
-
-
-def _integer_rows(a: ExactMatrix) -> list[list[int]]:
-    # scale each row independently; row scaling never changes the rank
-    out = []
-    for i in range(a.rows):
-        row = a.row(i)
-        d = 1
-        for e in row:
-            d = d * e.denominator // math.gcd(d, e.denominator)
-        out.append([int(e * d) for e in row])
-    return out
+    return ExactMatrix.from_rows(rows), d
 
 
 def rank(a: ExactMatrix) -> int:
-    """Exact rank via fraction-free (Bareiss) Gaussian elimination.
+    """Exact rank: fraction-free (Bareiss) elimination of d*a, which has
+    the rank of a."""
+    return _int_rank(_scaled_rows(a)[0])
 
-    Rows are cleared to integers first; each elimination step divides by
-    the previous pivot, which Sylvester's determinant identity guarantees
-    to be exact, so intermediate values stay integers of modest size.
-    Pivoting is deterministic: first row with a nonzero entry in the
-    current column.
+
+# ---------------------------------------------------------------------------
+# Integer kernels.  Matrices are lists of rows of Python ints; none of these
+# functions creates a Fraction.
+
+def _scaled_rows(a: ExactMatrix) -> tuple[list[list[int]], int]:
+    """The rows of d*a as ints, and d, the lcm of the entry denominators."""
+    es = a._entries
+    d = math.lcm(*{e.denominator for e in es})
+    if d == 1:
+        flat = [e.numerator for e in es]
+    else:
+        flat = [e.numerator * (d // e.denominator) for e in es]
+    c = a._cols
+    return [flat[i:i + c] for i in range(0, len(flat), c)], d
+
+
+def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _int_rank(rows: list[list[int]]) -> int:
+    """Rank by fraction-free (Bareiss) elimination; `rows` is not modified.
+
+    Each step eliminates the first column of the active block against the
+    first row with a nonzero entry there and divides by the previous pivot,
+    which Sylvester's determinant identity makes exact, so entries stay
+    integers no larger than minors of the input.  Rows that become zero
+    leave the active block.
     """
-    m = _integer_rows(a)
-    nrows, ncols = a.rows, a.cols
+    active = [row for row in rows if any(row)]
     r = 0
     prev = 1
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][col]), None)
-        if pivot_row is None:
+    while active and active[0]:
+        at = next((i for i, row in enumerate(active) if row[0]), None)
+        if at is None:
+            active = [row[1:] for row in active]
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][col]
-        for i in range(r + 1, nrows):
-            head = m[i][col]
-            mi, mr = m[i], m[r]
-            for j in range(col + 1, ncols):
-                q, rem = divmod(mi[j] * piv - head * mr[j], prev)
-                assert rem == 0, "Bareiss division must be exact"
-                mi[j] = q
-            mi[col] = 0
-        prev = piv
+        pivot_row = active.pop(at)
+        piv = pivot_row[0]
+        tail = pivot_row[1:]
         r += 1
-        if r == nrows:
-            break
+        nxt = []
+        for row in active:
+            head = row[0]
+            vals = [x * piv - head * y for x, y in zip(row[1:], tail)]
+            if prev != 1:
+                quots = [v // prev for v in vals]
+                # floor remainders share the divisor's sign, so they sum to
+                # zero only when every one of them is zero
+                if sum(vals) != prev * sum(quots):
+                    raise InternalInconsistencyError(
+                        "Bareiss division must be exact")
+                vals = quots
+            if any(vals):
+                nxt.append(vals)
+        active = nxt
+        prev = piv
     return r
+
+
+def _int_char_poly(b: list[list[int]]) -> list[int]:
+    """Coefficients of det(xI - b), lowest degree first, for a square integer
+    matrix b, by the Faddeev-LeVerrier recurrence: M_1 = b, c_{n-1} =
+    -tr(M_1), M_k = b(M_{k-1} + c_{n-k+1} I), c_{n-k} = -tr(M_k)/k.  Every
+    division by k is exact over the integers."""
+    n = len(b)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    mk = b
+    coeffs[n - 1] = -sum(b[i][i] for i in range(n))
+    for k in range(2, n + 1):
+        c = coeffs[n - k + 1]
+        shifted = [list(row) for row in mk]
+        for i in range(n):
+            shifted[i][i] += c
+        mk = _int_mat_mul(b, shifted)
+        q, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if rem:
+            raise InternalInconsistencyError(
+                "Faddeev-LeVerrier on an integer matrix must give integers")
+        coeffs[n - k] = q
+    return coeffs
 
 
 class PolynomialZ:
@@ -316,27 +370,13 @@ def char_poly(a: ExactMatrix) -> PolynomialZ:
     denominators cleared (d = 1 for integer matrices, so then it is the
     characteristic polynomial of a itself).
 
-    Uses the Faddeev-LeVerrier recurrence: M_1 = B, c_{n-1} = -tr(M_1),
-    M_k = B(M_{k-1} + c_{n-k+1} I), c_{n-k} = -tr(M_k)/k.  Every division
-    is exact and the result is monic with integer coefficients.  Roots of
-    the result are d times the eigenvalues of a; rational_eigenvalues
-    performs the unscaling.
+    The result is monic with integer coefficients (Faddeev-LeVerrier on B).
+    Roots of the result are d times the eigenvalues of a;
+    rational_eigenvalues performs the unscaling.
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
-    b, _ = clear_denominators(a)
-    n = b.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    ident = ExactMatrix.identity(n)
-    mk = b
-    coeffs[n - 1] = -mk.trace()
-    for k in range(2, n + 1):
-        mk = mat_mul(b, mk + coeffs[n - k + 1] * ident)
-        coeffs[n - k] = Fraction(-mk.trace(), k)
-    assert all(c.denominator == 1 for c in coeffs), \
-        "Faddeev-LeVerrier on an integer matrix must give integers"
-    return PolynomialZ(int(c) for c in coeffs)
+    return PolynomialZ(_int_char_poly(_scaled_rows(a)[0]))
 
 
 def _divisors(n: int) -> list[int]:
@@ -352,60 +392,82 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _scaled_value(coeffs: list[int], p: int, q: int) -> int:
+    """q**deg * P(p/q) for P with the given coefficients: an integer that is
+    zero exactly when p/q is a root."""
+    acc = coeffs[-1]
+    qpow = 1
+    for c in reversed(coeffs[:-1]):
+        qpow *= q
+        acc = acc * p + c * qpow
+    return acc
+
+
 def _deflate(coeffs: list[int], p: int, q: int) -> list[int]:
     # divide by (q*x - p) with p/q in lowest terms; exact over the integers
     # whenever p/q is a root (Gauss's lemma)
     n = len(coeffs) - 1
     out = [0] * n
     acc, rem = divmod(coeffs[n], q)
-    assert rem == 0
+    if rem:
+        raise InternalInconsistencyError("leading coefficient must divide exactly")
     out[n - 1] = acc
     for k in range(n - 1, 0, -1):
         acc, rem = divmod(coeffs[k] + p * out[k], q)
-        assert rem == 0
+        if rem:
+            raise InternalInconsistencyError("synthetic division must be exact")
         out[k - 1] = acc
-    assert coeffs[0] + p * out[0] == 0, "claimed root must divide exactly"
+    if coeffs[0] + p * out[0] != 0:
+        raise InternalInconsistencyError("claimed root must divide exactly")
     return out
 
 
-def rational_roots(poly: PolynomialZ) -> tuple[list[tuple[Fraction, int]], int]:
-    """All rational roots with multiplicities, plus the leftover degree.
+def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[int, int, int]], int]:
+    """Rational roots of the nonzero integer polynomial with the given
+    coefficients (lowest degree first) as (p, q, multiplicity) with p/q in
+    lowest terms and q > 0, in no particular order, plus the degree of the
+    rootless factor left over.  For a monic polynomial every q is 1.
 
     Candidates come from the rational root theorem (numerator divides the
     trailing nonzero coefficient, denominator divides the leading one) and
-    are divided out by exact synthetic division until none remain.  The
-    second value is the degree of the remaining factor, which has no
-    rational roots (0 when the polynomial splits over Q).
+    are divided out by exact synthetic division until none remain.
     """
-    if poly.is_zero:
-        raise ValueError("the zero polynomial has no meaningful root set")
-    coeffs = list(poly.coefficients)
-    roots: dict[Fraction, int] = {}
+    roots = []
     k0 = 0
     while coeffs[k0] == 0:
         k0 += 1
     if k0:
-        roots[Fraction(0)] = k0
+        roots.append((0, 1, k0))
         coeffs = coeffs[k0:]
     if len(coeffs) > 1:
         nums = _divisors(coeffs[0])
         dens = _divisors(coeffs[-1])
-        candidates = sorted({Fraction(s * p, q)
-                             for p in nums for q in dens for s in (1, -1)})
-        for cand in candidates:
+        candidates = sorted({(s * p // g, q // g)
+                             for p in nums for q in dens for s in (1, -1)
+                             for g in (math.gcd(p, q),)})
+        for p, q in candidates:
             if len(coeffs) == 1:
                 break
-            while len(coeffs) > 1 and _eval_int(coeffs, cand) == 0:
-                coeffs = _deflate(coeffs, cand.numerator, cand.denominator)
-                roots[cand] = roots.get(cand, 0) + 1
-    return sorted(roots.items()), len(coeffs) - 1
+            mult = 0
+            while len(coeffs) > 1 and _scaled_value(coeffs, p, q) == 0:
+                coeffs = _deflate(coeffs, p, q)
+                mult += 1
+            if mult:
+                roots.append((p, q, mult))
+    return roots, len(coeffs) - 1
 
 
-def _eval_int(coeffs: list[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def rational_roots(poly: PolynomialZ) -> tuple[list[tuple[Fraction, int]], int]:
+    """All rational roots with multiplicities, ascending, plus the leftover
+    degree.
+
+    The second value is the degree of the remaining factor, which has no
+    rational roots (0 when the polynomial splits over Q).
+    """
+    if poly.is_zero:
+        raise ValueError("the zero polynomial has no meaningful root set")
+    roots, remainder = _rational_roots(list(poly.coefficients))
+    return sorted((Fraction(p, q), mult) for p, q, mult in roots), remainder
 
 
 def rational_eigenvalues(a: ExactMatrix) -> tuple[list[tuple[Fraction, int]], int]:
@@ -413,12 +475,14 @@ def rational_eigenvalues(a: ExactMatrix) -> tuple[list[tuple[Fraction, int]], in
 
     The second value is the degree of the characteristic polynomial factor
     whose roots are irrational or complex (0 when all eigenvalues are
-    rational).  Denominator scaling is handled here: roots of char_poly(a)
-    are divided by the clearing factor d.
+    rational).  The roots of char_poly(a) are those of d*a, so each is
+    divided by the clearing factor d.
     """
-    _, d = clear_denominators(a)
-    roots, remainder = rational_roots(char_poly(a))
-    return [(r / d, mult) for r, mult in roots], remainder
+    if not a.is_square:
+        raise ValueError("characteristic polynomial requires a square matrix")
+    b, d = _scaled_rows(a)
+    roots, remainder = _rational_roots(_int_char_poly(b))
+    return sorted((Fraction(p, q * d), mult) for p, q, mult in roots), remainder
 
 
 def matrix_to_json_dict(a: ExactMatrix) -> dict:

@@ -6,6 +6,7 @@ precision.
 """
 
 import re
+import threading
 from collections.abc import Iterable, Iterator
 
 
@@ -98,9 +99,10 @@ def conjugate(p: Partition) -> Partition:
     return p.conjugate()
 
 
-# p(0), p(1), ... computed so far.  Appending only reads existing entries,
-# so a stale len() under concurrent use costs recomputation, not corruption.
+# p(0), p(1), ... computed so far.  Only ever extended, and only under
+# _COUNT_LOCK, so a reader that sees len(cache) > n can index it unlocked.
 _COUNT_CACHE: list[int] = [1]
+_COUNT_LOCK = threading.Lock()
 
 
 def partition_count(n: int) -> int:
@@ -114,21 +116,24 @@ def partition_count(n: int) -> int:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     cache = _COUNT_CACHE
-    while len(cache) <= n:
-        m = len(cache)
-        total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            if g1 > m:
-                break
-            sign = 1 if j % 2 else -1
-            total += sign * cache[m - g1]
-            g2 = j * (3 * j + 1) // 2
-            if g2 <= m:
-                total += sign * cache[m - g2]
-            j += 1
-        cache.append(total)
+    if n < len(cache):
+        return cache[n]
+    with _COUNT_LOCK:
+        while len(cache) <= n:
+            m = len(cache)
+            total = 0
+            j = 1
+            while True:
+                g1 = j * (3 * j - 1) // 2
+                if g1 > m:
+                    break
+                sign = 1 if j % 2 else -1
+                total += sign * cache[m - g1]
+                g2 = j * (3 * j + 1) // 2
+                if g2 <= m:
+                    total += sign * cache[m - g2]
+                j += 1
+            cache.append(total)
     return cache[n]
 
 

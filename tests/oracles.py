@@ -1,13 +1,17 @@
 """Independent reference implementations used only by the tests.
 
 Deliberately written with different algorithms than the package: recursive
-partition enumeration instead of the iterative generator, division-based
-Gaussian elimination instead of fraction-free Bareiss, polynomial
-convolution instead of Faddeev-LeVerrier, brute-force multiset collection
-instead of generating-function or recursive counting.
+partition enumeration instead of the iterative generator, a coin-change
+table instead of Euler's pentagonal recurrence, division-based Gaussian
+elimination over Fraction instead of fraction-free Bareiss on integers,
+polynomial convolution and interpolation of determinants instead of
+Faddeev-LeVerrier, Fraction arithmetic throughout instead of one
+denominator-clearing scale, brute-force multiset collection instead of
+generating-function or recursive counting.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -25,6 +29,15 @@ def naive_partitions(n, max_part=None):
 
 def naive_partition_count(n):
     return sum(1 for _ in naive_partitions(n))
+
+
+def partition_count_table(n):
+    """[p(0), ..., p(n)] by the coin-change recurrence over part sizes."""
+    table = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            table[m] += table[m - part]
+    return table
 
 
 def conjugate_by_transpose(parts):
@@ -101,3 +114,123 @@ def min_formula_ranks(blocks, n):
     """r_k = n - sum_i min(b_i, k), k = 0..max(blocks); the closed form."""
     top = max(blocks) if blocks else 0
     return tuple(n - sum(min(b, k) for b in blocks) for k in range(top + 1))
+
+
+def fraction_mat_mul(a, b):
+    """Product of two matrices given as lists of rows, by the textbook
+    triple loop over Fraction."""
+    k, m = len(b), len(b[0])
+    bcols = [[b[t][j] for t in range(k)] for j in range(m)]
+    return [[sum(ar[t] * bc[t] for t in range(k)) for bc in bcols] for ar in a]
+
+
+def fraction_rank_pattern(rows, lam):
+    """Ranks of (A - lam*I)^k, k = 0, 1, ... until they stabilize, with the
+    shift, the powers and the ranks all computed over Fraction."""
+    n = len(rows)
+    shifted = [[Fraction(e) - lam if i == j else Fraction(e)
+                for j, e in enumerate(row)] for i, row in enumerate(rows)]
+    ranks = [n]
+    power = shifted
+    while True:
+        r = gaussian_rank(power)
+        if r == ranks[-1]:
+            break
+        ranks.append(r)
+        if r == 0:
+            break
+        power = fraction_mat_mul(power, shifted)
+    return tuple(ranks)
+
+
+def fraction_det(rows):
+    """Determinant by division-based elimination over Fraction."""
+    m = [[Fraction(e) for e in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if m[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        pr = m[col]
+        det *= pr[col]
+        for i in range(col + 1, n):
+            if m[i][col]:
+                factor = m[i][col] / pr[col]
+                m[i] = [a - factor * b for a, b in zip(m[i], pr)]
+    return det
+
+
+def char_poly_by_interpolation(rows):
+    """Coefficients of det(xI - A), lowest degree first, as Fractions:
+    det(tI - A) at t = 0..n, interpolated by Lagrange's formula."""
+    n = len(rows)
+    points = range(n + 1)
+    values = [fraction_det([[(t if i == j else 0) - Fraction(e)
+                             for j, e in enumerate(row)]
+                            for i, row in enumerate(rows)])
+              for t in points]
+    coeffs = [Fraction(0)] * (n + 1)
+    for j in points:
+        basis, denom = [1], 1
+        for k in points:
+            if k != j:
+                basis = poly_mul(basis, [-k, 1])
+                denom *= j - k
+        for i, c in enumerate(basis):
+            coeffs[i] += values[j] * c / denom
+    return coeffs
+
+
+def fraction_rational_roots(coeffs):
+    """Rational roots of a polynomial with Fraction coefficients (lowest
+    degree first) as an ascending list of (root, multiplicity), plus the
+    degree left over.  Every candidate p/q of the rational root theorem is
+    tested by Fraction evaluation and divided out by long division."""
+    coeffs = [Fraction(c) for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    zeros = next(k for k, c in enumerate(ints) if c)
+    ints = ints[zeros:]
+    roots = {Fraction(0): zeros} if zeros else {}
+    poly = [Fraction(c) for c in ints]
+
+    def divisors(v):
+        v = abs(v)
+        small = [d for d in range(1, math.isqrt(v) + 1) if v % d == 0]
+        return small + [v // d for d in small]
+
+    candidates = {Fraction(s * p, q) for p in divisors(ints[0])
+                  for q in divisors(ints[-1]) for s in (1, -1)}
+    for x in sorted(candidates):
+        while len(poly) > 1 and sum(c * x ** k for k, c in enumerate(poly)) == 0:
+            # synthetic division by (x - root), highest degree first
+            out = [poly[-1]]
+            for c in reversed(poly[1:-1]):
+                out.append(c + x * out[-1])
+            poly = out[::-1]
+            roots[x] = roots.get(x, 0) + 1
+    return sorted(roots.items()), len(poly) - 1
+
+
+def fraction_analyze(rows):
+    """What analyze(A).to_json_dict() must hold, computed over Fraction from
+    the unscaled matrix, or ("irrational", degree) when some eigenvalue is
+    not rational."""
+    roots, remainder = fraction_rational_roots(char_poly_by_interpolation(rows))
+    if remainder:
+        return ("irrational", remainder)
+    entries, groups = [], []
+    for lam, _ in roots:
+        ranks = fraction_rank_pattern(rows, lam)
+        growth = [a - b for a, b in zip(ranks, ranks[1:])]
+        blocks = conjugate_by_transpose(growth)
+        groups.append(blocks)
+        entries.append({"value": str(lam), "rank_pattern": list(ranks),
+                        "blocks": list(blocks)})
+    segre = "[" + ",".join("(" + ",".join(map(str, g)) + ")"
+                           for g in canonical_groups(groups)) + "]"
+    return {"segre": segre, "eigenvalues": entries}

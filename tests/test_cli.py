@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from segrekit.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 WORKED_MATRIX_JSON = {
     "rows": 10,
@@ -165,6 +171,43 @@ def test_analyze_input_errors(tmp_path, capsys):
                         "wide.json")
     assert main(["analyze", wide]) == 2
     assert "square" in capsys.readouterr().err
+
+
+def test_analyze_rejects_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"rows": 1, "cols": 1, "entries": [["\xe9"]]}')
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
+    assert err.count("\n") == 1
+
+
+def test_analyze_rejects_overlong_integer(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"rows": 1, "cols": 1, "entries": [[' + "7" * 5000 + "]]}",
+                    encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too long" in err
+    assert err.count("\n") == 1
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    # 260 kB of output: far more than the pipe holds once the reader is gone
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, "-m", "segrekit", "enumerate", "14"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    try:
+        assert proc.stdout.readline() == b"[(14)]\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_render_svg_to_file(tmp_path, capsys):

@@ -1,10 +1,14 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
 from segrekit import (Partition, conjugate, enumerate_partitions,
-                      iter_partition_tuples, partition_count)
+                      iter_partition_tuples, partition_count, partitions)
 
-from oracles import conjugate_by_transpose, naive_partition_count, naive_partitions
+from oracles import (conjugate_by_transpose, naive_partition_count,
+                     naive_partitions, partition_count_table)
 
 
 def test_count_base_cases():
@@ -24,6 +28,35 @@ def test_count_matches_enumeration_oracle():
 def test_count_big_value_is_exact():
     # arbitrary-precision check: p(200) has 13 digits
     assert partition_count(200) == 3972999029388
+
+
+def test_count_cache_is_thread_safe(monkeypatch):
+    # four threads grow a fresh cache together, switching as often as the
+    # interpreter allows; a lost or doubled entry shifts every later value
+    monkeypatch.setattr(partitions, "_COUNT_CACHE", [1])
+    top = 2000
+    seen = [[] for _ in range(4)]
+
+    def work(out):
+        for n in range(0, top + 1, 7):
+            out.append((n, partition_count(n)))
+        out.append((top, partition_count(top)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in seen]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    expected = partition_count_table(top)
+    assert partitions._COUNT_CACHE == expected
+    for out in seen:
+        assert out and all(value == expected[n] for n, value in out)
 
 
 def test_count_rejects_bad_input():
