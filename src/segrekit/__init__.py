@@ -10,15 +10,14 @@ draws the corresponding block structures.
 from .partitions import (Partition, conjugate, enumerate_partitions,
                          iter_partition_tuples, partition_count)
 from .segre import (SegreCharacteristic, SegreParseError, count_segre_gf,
-                    count_segre_sum, enumerate_segre, format_segre,
-                    multipartitions, parse_segre)
+                    count_segre_sum, enumerate_segre, format_segre, iter_segre,
+                    parse_segre)
 from .rank_analysis import (NonMonotoneGrowthError, RankPattern,
                             blocks_from_rank_pattern, nullity_growth,
                             rank_pattern_from_blocks)
-from .linalg import (ExactMatrix, PolynomialZ, Rational, char_poly,
-                     clear_denominators, mat_mul, mat_pow,
-                     matrix_from_json_dict, matrix_to_json_dict, rank,
-                     rational_eigenvalues, rational_roots, shift)
+from .linalg import (ExactMatrix, PolynomialZ, char_poly, mat_mul,
+                     matrix_from_json_dict, rank, rational_eigenvalues,
+                     rational_roots, shift)
 from .jordan import (AnalysisReport, EigenvalueReport,
                      InternalInconsistencyError, IrrationalEigenvalueError,
                      JordanSpec, analyze, build_jordan, rank_pattern_of)
@@ -40,7 +39,6 @@ __all__ = [
     "Partition",
     "PolynomialZ",
     "RankPattern",
-    "Rational",
     "SegreCharacteristic",
     "SegreParseError",
     "StructureGrid",
@@ -48,7 +46,6 @@ __all__ = [
     "blocks_from_rank_pattern",
     "build_jordan",
     "char_poly",
-    "clear_denominators",
     "conjugate",
     "count_segre_gf",
     "count_segre_sum",
@@ -57,11 +54,9 @@ __all__ = [
     "format_segre",
     "grid_of",
     "iter_partition_tuples",
+    "iter_segre",
     "mat_mul",
-    "mat_pow",
     "matrix_from_json_dict",
-    "matrix_to_json_dict",
-    "multipartitions",
     "nullity_growth",
     "parse_segre",
     "partition_count",

@@ -18,7 +18,8 @@ from .linalg import matrix_from_json_dict
 from .rank_analysis import (NonMonotoneGrowthError, RankPattern,
                             blocks_from_rank_pattern, nullity_growth)
 from .render import grid_of, render_ascii, render_svg
-from .segre import count_segre_gf, count_segre_sum, enumerate_segre, format_segre
+from .segre import (count_segre_gf, count_segre_sum, enumerate_segre,
+                    format_segre, iter_segre)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,13 +98,14 @@ def cmd_count(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.n < 1:
         return _fail("n must be >= 1", EXIT_USAGE)
-    items = enumerate_segre(args.n)
+    items = iter_segre(args.n)
     if args.format == "json":
         print(json.dumps([format_segre(s) for s in items]))
     else:
-        for s in items:
+        total = 0
+        for total, s in enumerate(items, 1):
             print(format_segre(s))
-        print(f"total: {len(items)}")
+        print(f"total: {total}")
     return EXIT_OK
 
 

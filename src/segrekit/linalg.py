@@ -15,11 +15,10 @@ functions taking an ExactMatrix are thin wrappers over these kernels.
 """
 
 import math
+import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
-
-Rational = Fraction
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -105,11 +104,6 @@ class ExactMatrix:
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self._rows)]
 
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise ValueError("trace requires a square matrix")
-        return sum(self._entries[i * self._cols + i] for i in range(self._rows))
-
     def __add__(self, other) -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -167,22 +161,6 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
                                         for x in row))
 
 
-def mat_pow(a: ExactMatrix, k: int) -> ExactMatrix:
-    """a**k by repeated squaring; a**0 is the identity."""
-    if not a.is_square:
-        raise ValueError("powers require a square matrix")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
-    result = ExactMatrix.identity(a.rows)
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if k > 1 else base
-        k >>= 1
-    return result
-
-
 def shift(a: ExactMatrix, lam) -> ExactMatrix:
     """a - lam*I."""
     if not a.is_square:
@@ -191,18 +169,6 @@ def shift(a: ExactMatrix, lam) -> ExactMatrix:
     n = a.rows
     return ExactMatrix(n, n, (a.entry(i, j) - lam if i == j else a.entry(i, j)
                               for i in range(n) for j in range(n)))
-
-
-def clear_denominators(a: ExactMatrix) -> tuple[ExactMatrix, int]:
-    """Smallest positive d with d*a integral, and the scaled matrix.
-
-    Returns (d*a, d); d is the lcm of all entry denominators (1 for an
-    integer matrix).
-    """
-    rows, d = _scaled_rows(a)
-    if d == 1:
-        return a, 1
-    return ExactMatrix.from_rows(rows), d
 
 
 def rank(a: ExactMatrix) -> int:
@@ -485,23 +451,16 @@ def rational_eigenvalues(a: ExactMatrix) -> tuple[list[tuple[Fraction, int]], in
     return sorted((Fraction(p, q * d), mult) for p, q, mult in roots), remainder
 
 
-def matrix_to_json_dict(a: ExactMatrix) -> dict:
-    """{"rows": n, "cols": m, "entries": [[...], ...]} with integer entries
-    as JSON numbers and non-integers as "p/q" strings."""
-    def encode(e: Fraction):
-        return int(e) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
-    return {
-        "rows": a.rows,
-        "cols": a.cols,
-        "entries": [[encode(e) for e in a.row(i)] for i in range(a.rows)],
-    }
+# the entry strings the README promises: an integer or "p/q", ASCII digits
+# only (Fraction alone would also take decimals, exponents and padding)
+_ENTRY_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def matrix_from_json_dict(data) -> ExactMatrix:
-    """Inverse of matrix_to_json_dict, with full validation.
+    """Matrix from {"rows": n, "cols": m, "entries": [[...], ...]}, validated.
 
-    Entries must be JSON integers or "p/q" strings; floats are rejected
-    because they cannot round-trip exactly.
+    Entries must be JSON integers or "p", "-p", "p/q", "-p/q" strings of
+    ASCII digits; floats are rejected because they are not exact.
     """
     if not isinstance(data, dict):
         raise ValueError("matrix JSON must be an object")
@@ -520,15 +479,12 @@ def matrix_from_json_dict(data) -> ExactMatrix:
         if not isinstance(row, list) or len(row) != cols:
             raise ValueError(f"row {i} must be a list of {cols} entries")
         for j, e in enumerate(row):
-            if isinstance(e, bool) or isinstance(e, float):
-                raise ValueError(
-                    f"entry ({i}, {j}) must be an integer or 'p/q' string, got {e!r}")
-            if isinstance(e, str):
+            if isinstance(e, str) and _ENTRY_TEXT.fullmatch(e):
                 try:
                     flat.append(Fraction(e))
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"entry ({i}, {j}) is not a valid fraction: {e!r}") from exc
-            elif isinstance(e, int):
+            elif isinstance(e, int) and not isinstance(e, bool):
                 flat.append(Fraction(e))
             else:
                 raise ValueError(

@@ -5,7 +5,6 @@ to n.  Everything here is exact integer arithmetic; counts are arbitrary
 precision.
 """
 
-import re
 import threading
 from collections.abc import Iterable, Iterator
 
@@ -53,19 +52,6 @@ class Partition:
             for j in range(p):
                 cols[j] += 1
         return Partition(cols)
-
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        """Inverse of str(): '[3,1]' -> Partition((3, 1)), '[]' -> Partition()."""
-        s = text.strip()
-        if not (s.startswith("[") and s.endswith("]")):
-            raise ValueError(f"partition text must be bracketed, got {text!r}")
-        body = s[1:-1].strip()
-        if not body:
-            return cls()
-        if not re.fullmatch(r"\d+(\s*,\s*\d+)*", body):
-            raise ValueError(f"malformed partition text: {text!r}")
-        return cls(int(tok) for tok in body.split(","))
 
     def __len__(self) -> int:
         return len(self._parts)

@@ -8,10 +8,10 @@ similarity classes.
 
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
-from .partitions import Partition, enumerate_partitions, partition_count
+from .partitions import Partition, iter_partition_tuples, partition_count
 
 
 def _group_key(g: Partition) -> tuple:
@@ -53,10 +53,6 @@ class SegreCharacteristic:
     def canonical(self) -> "SegreCharacteristic":
         """Copy with groups sorted: descending weight, then lex-descending parts."""
         return SegreCharacteristic(sorted(self._groups, key=_group_key))
-
-    @property
-    def is_canonical(self) -> bool:
-        return tuple(g.parts for g in self._groups) == self._canonical_parts
 
     def flattened(self) -> Partition:
         """All block sizes pooled into one partition, eigenvalues forgotten."""
@@ -163,46 +159,59 @@ def parse_segre(text: str) -> SegreCharacteristic:
     return SegreCharacteristic(groups)
 
 
-def multipartitions(outer: Partition) -> list[SegreCharacteristic]:
-    """All ways to refine each part of `outer` into a partition of itself.
-
-    Returns one characteristic per tuple in the Cartesian product of the
-    per-part partition lists, groups in `outer` order, duplicates (up to
-    group reordering) NOT removed.  Length is the product of p(a) over the
-    parts a of outer.
-    """
-    if not isinstance(outer, Partition):
-        outer = Partition(outer)
-    if not outer:
-        raise ValueError("outer partition must be non-empty")
-    choices = [enumerate_partitions(a) for a in outer.parts]
-    return [SegreCharacteristic(combo) for combo in itertools.product(*choices)]
-
-
-def _enumeration_key(s: SegreCharacteristic) -> tuple:
-    # primary: flattened block partition, largest-first order;
-    # secondary: the canonical group sequence itself
-    flat = s.flattened().parts
-    return (tuple(-p for p in flat),
-            tuple(_group_key(g) for g in s.canonical().groups))
+def _groups_of(rest: tuple) -> list:
+    """The distinct non-empty sub-multisets of the descending tuple `rest`,
+    each as ((weight, parts), Partition, what is left of rest), largest
+    (weight, parts) first."""
+    values = sorted(set(rest), reverse=True)
+    counts = [rest.count(v) for v in values]
+    found = []
+    for take in itertools.product(*(range(c + 1) for c in counts)):
+        parts = tuple(v for v, t in zip(values, take) for _ in range(t))
+        if parts:
+            left = tuple(v for v, c, t in zip(values, counts, take)
+                         for _ in range(c - t))
+            found.append(((sum(parts), parts), Partition(parts), left))
+    return sorted(found, key=lambda c: c[0], reverse=True)
 
 
-def enumerate_segre(n: int) -> list[SegreCharacteristic]:
-    """All distinct Segre characteristics of weight n, canonical forms only.
+def _splits(rest: tuple, bound: tuple, groups_of) -> Iterator[tuple]:
+    # splits of `rest` into groups with non-increasing (weight, parts) keys,
+    # none above `bound`, descending; a group is kept only if what is left
+    # can still be split below it, as singletons headed by its largest part
+    if not rest:
+        yield ()
+        return
+    floor = (rest[0], rest[:1])
+    for key, group, left in groups_of(rest):
+        if key > bound:
+            continue
+        if key < floor:
+            break
+        for tail in _splits(left, key, groups_of):
+            yield (group,) + tail
 
-    Order is deterministic: characteristics sharing a flattened block
-    partition are contiguous (those partitions largest-first), and within
-    such a run the canonical group sequences are compared directly.  The
-    length is always count_segre_gf(n).
+
+def iter_segre(n: int) -> Iterator[SegreCharacteristic]:
+    """Yield each distinct Segre characteristic of weight n once, canonical.
+
+    Characteristics sharing a flattened block partition are contiguous
+    (those partitions largest-first); within such a run the canonical group
+    sequences descend, groups compared by (weight, parts).  The parts are
+    split into groups depth first, candidates taken in that order, so each
+    form is built once and in place.  There are count_segre_gf(n) items.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    distinct: dict[tuple, SegreCharacteristic] = {}
-    for outer in enumerate_partitions(n):
-        for s in multipartitions(outer):
-            c = s.canonical()
-            distinct.setdefault(c._canonical_parts, c)
-    return sorted(distinct.values(), key=_enumeration_key)
+    for flat in iter_partition_tuples(n):
+        # one memo per flattened partition: its sub-multisets recur often
+        groups_of = lru_cache(maxsize=None)(_groups_of)
+        yield from map(SegreCharacteristic, _splits(flat, (n, flat), groups_of))
+
+
+def enumerate_segre(n: int) -> list[SegreCharacteristic]:
+    """list(iter_segre(n)): every characteristic of weight n, in that order."""
+    return list(iter_segre(n))
 
 
 def count_segre_gf(n: int) -> int:

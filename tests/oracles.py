@@ -7,7 +7,8 @@ elimination over Fraction instead of fraction-free Bareiss on integers,
 polynomial convolution and interpolation of determinants instead of
 Faddeev-LeVerrier, Fraction arithmetic throughout instead of one
 denominator-clearing scale, brute-force multiset collection instead of
-generating-function or recursive counting.
+generating-function or recursive counting, deduplication and a global sort
+instead of canonical generation in order.
 """
 
 import itertools
@@ -67,6 +68,29 @@ def brute_force_segre_multisets(n):
         for combo in itertools.product(*pools):
             out.add(canonical_groups(combo))
     return out
+
+
+def multipartitions(outer):
+    """Every tuple of partitions whose i-th member has weight outer[i],
+    group order kept and duplicates (up to group order) not removed: the
+    product of p(a) over the parts a of outer."""
+    return list(itertools.product(*(list(naive_partitions(a)) for a in outer)))
+
+
+def segre_by_dedup_and_sort(n):
+    """The canonical group tuples of weight n in enumeration order, built the
+    slow way: canonicalize every multipartition, drop duplicates through a
+    set, then sort by the flattened partition (largest first) and the
+    canonical group sequence (groups by descending weight, then parts)."""
+    distinct = {canonical_groups(m) for outer in naive_partitions(n)
+                for m in multipartitions(outer)}
+
+    def key(groups):
+        flat = sorted((p for g in groups for p in g), reverse=True)
+        return ([-p for p in flat],
+                [(-sum(g), [-p for p in g]) for g in groups])
+
+    return sorted(distinct, key=key)
 
 
 def poly_mul(a, b):

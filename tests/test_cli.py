@@ -1,10 +1,13 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from segrekit.cli import main
 
@@ -192,22 +195,43 @@ def test_analyze_rejects_overlong_integer(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_closed_stdout_pipe_ends_quietly():
-    # 260 kB of output: far more than the pipe holds once the reader is gone
+def first_line_then_close(args, timeout):
+    """Run `python -m segrekit ARGS`, read one line of its stdout and close
+    the pipe; return that line, the exit code and everything on stderr."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.Popen([sys.executable, "-m", "segrekit", "enumerate", "14"],
+    proc = subprocess.Popen([sys.executable, "-m", "segrekit", *args],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=env)
     try:
-        assert proc.stdout.readline() == b"[(14)]\n"
+        line = proc.stdout.readline()
         proc.stdout.close()
+        code = proc.wait(timeout=timeout)
         err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0
     finally:
         proc.kill()
         proc.wait()
         proc.stderr.close()
-    assert err == b""
+    return line, code, err
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    # 260 kB of output: far more than the pipe holds once the reader is gone
+    assert first_line_then_close(["enumerate", "14"], 60) == (b"[(14)]\n", 0, b"")
+
+
+def test_enumerate_streams_its_first_line():
+    # 71,832,114 characteristics of weight 30: only a streaming enumeration
+    # can print the first one at once
+    assert first_line_then_close(["enumerate", "30"], 5) == (b"[(30)]\n", 0, b"")
+
+
+def test_analyze_rejects_entry_strings_outside_the_grammar(tmp_path, capsys):
+    # Fraction would read "1e2000" as a 2001-digit integer
+    for text in ("2.5e1", "1e2000", " 3", "\u0663"):
+        path = write_matrix(tmp_path, {"rows": 1, "cols": 1, "entries": [[text]]})
+        assert main(["analyze", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: entry (0, 0)") and err.count("\n") == 1
 
 
 def test_render_svg_to_file(tmp_path, capsys):
@@ -283,3 +307,114 @@ def test_usage_and_help(capsys):
     capsys.readouterr()
     assert main(["--help"]) == 0
     assert "count" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: whatever the input, main returns an exit code from the README
+# table and never lets an exception escape.  Matrices stay within 4x4 and
+# entries within |p| <= 100, q <= 2, which keeps the rational root search
+# fast.
+
+README_EXIT_CODES = {0, 2, 3, 4, 5, 6}
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(argv):
+    code, err = run_main(argv)
+    assert code in README_EXIT_CODES, (argv, code, err)
+    assert "Traceback" not in err
+    if code:
+        assert err, argv
+
+
+good_entries = st.one_of(
+    st.integers(-100, 100),
+    st.builds("{}/{}".format, st.integers(-100, 100), st.integers(1, 2)))
+bad_entries = st.one_of(
+    st.sampled_from(["1/0", "2.5", "2.5e1", "1e2000", " 1", "+1", "1/-2",
+                     "\u0661", "1_0", "", "-", "nan", "inf"]),
+    st.text(alphabet=st.characters(blacklist_characters="0123456789"),
+            max_size=4),
+    st.floats(), st.booleans(), st.none(), st.lists(st.integers(-3, 3), max_size=2),
+)
+
+
+@st.composite
+def matrix_files(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.one_of(st.just(rows), st.integers(1, 4)))
+    grid = draw(st.lists(st.lists(good_entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        grid[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = (
+            draw(bad_entries))
+    if draw(st.booleans()):
+        del grid[-1][draw(st.integers(0, cols - 1))]
+    doc = {"rows": rows, "cols": cols, "entries": grid}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["rows", "cols", "entries", "extra"]))
+        doc[key] = draw(st.one_of(st.integers(-1, 5), bad_entries, st.just([])))
+    if draw(st.booleans()):
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    text = json.dumps(doc).encode()
+    return draw(st.one_of(
+        st.just(text),
+        st.builds(lambda k: text[:k], st.integers(0, len(text))),
+        st.binary(max_size=40),
+        st.text(max_size=30).map(str.encode),
+    ))
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=matrix_files(), fmt=st.sampled_from(["text", "json"]))
+def test_fuzz_analyze_matrix_files(tmp_path_factory, content, fmt):
+    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+    path.write_bytes(content)
+    assert_clean_exit(["analyze", str(path), "--format", fmt])
+
+
+rank_pattern_texts = st.one_of(
+    st.text(max_size=12),
+    st.builds(lambda head, n, sep, ranks: f"{head}{n}:{sep.join(map(str, ranks))}",
+              st.sampled_from(["n=", " n = ", "n", "m=", ""]),
+              st.integers(-2, 30), st.sampled_from([",", ", ", ";", " "]),
+              st.lists(st.integers(-2, 32), max_size=8)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_pattern_texts)
+def test_fuzz_rankpattern_strings(text):
+    assert_clean_exit(["rankpattern", text])
+
+
+@st.composite
+def characteristic_texts(draw):
+    groups = draw(st.lists(st.lists(st.integers(0, 6), max_size=3), max_size=3))
+    text = "[" + ",".join("(" + ",".join(map(str, g)) + ")" for g in groups) + "]"
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + draw(st.sampled_from("()[],0123 -")) + text[at:]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=characteristic_texts(),
+       command=st.sampled_from(["count", "enumerate", "render", "rankpattern"]))
+def test_fuzz_characteristic_strings_as_arguments(text, command):
+    try:
+        int(text)
+    except ValueError:
+        pass
+    else:
+        assume(False)  # a plain number is a valid size, not malformed input
+    assert_clean_exit([command, text])

@@ -181,7 +181,7 @@ def test_round_trip_all_characteristics_up_to_4():
             spec = JordanSpec.positional(s)
             report = analyze(build_jordan(spec))
             assert report.segre == s
-            assert report.segre.is_canonical
+            assert report.segre.groups == report.segre.canonical().groups
             assert len(report.per_eigenvalue) == len(s.groups)
 
 

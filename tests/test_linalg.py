@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from segrekit import (ExactMatrix, PolynomialZ, char_poly, clear_denominators,
-                      mat_mul, mat_pow, matrix_from_json_dict,
-                      matrix_to_json_dict, rank, rational_eigenvalues,
+from segrekit import (ExactMatrix, PolynomialZ, char_poly, mat_mul,
+                      matrix_from_json_dict, rank, rational_eigenvalues,
                       rational_roots, shift)
 
 from oracles import gaussian_rank, poly_from_linear_factors
@@ -75,17 +74,14 @@ def test_mat_mul_golden():
         mat_mul(a, ExactMatrix.from_rows([[1, 2]]))
 
 
-def test_mat_pow():
+def test_powers_of_jordan_blocks():
     j = jordan_block(0, 3)
-    assert mat_pow(j, 0) == ExactMatrix.identity(3)
+    j2 = mat_mul(j, j)
     assert rank(j) == 2
-    assert rank(mat_pow(j, 2)) == 1
-    assert mat_pow(j, 3) == ExactMatrix.zeros(3, 3)
-    assert mat_pow(jordan_block(2, 2), 2) == ExactMatrix.from_rows([[4, 4], [0, 4]])
-    with pytest.raises(ValueError):
-        mat_pow(j, -1)
-    with pytest.raises(ValueError):
-        mat_pow(ExactMatrix.from_rows([[1, 2]]), 2)
+    assert rank(j2) == 1
+    assert mat_mul(j2, j) == ExactMatrix.zeros(3, 3)
+    b = jordan_block(2, 2)
+    assert mat_mul(b, b) == ExactMatrix.from_rows([[4, 4], [0, 4]])
 
 
 def test_shift_golden():
@@ -129,15 +125,6 @@ def test_rank_of_product_bounded():
         b = ExactMatrix.from_rows(
             [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
         assert rank(mat_mul(a, b)) <= min(rank(a), rank(b))
-
-
-def test_clear_denominators():
-    m = ExactMatrix.from_rows([["1/2", "1/3"], [1, 0]])
-    scaled, d = clear_denominators(m)
-    assert d == 6
-    assert scaled == ExactMatrix.from_rows([[3, 2], [6, 0]])
-    same, d1 = clear_denominators(ExactMatrix.identity(2))
-    assert d1 == 1 and same == ExactMatrix.identity(2)
 
 
 def test_polynomial_basics():
@@ -234,9 +221,10 @@ def test_rational_eigenvalues_unscales():
 
 def test_json_round_trip():
     m = ExactMatrix.from_rows([[1, "1/2"], ["-3/4", 0]])
-    d = matrix_to_json_dict(m)
-    assert d == {"rows": 2, "cols": 2, "entries": [[1, "1/2"], ["-3/4", 0]]}
+    d = {"rows": 2, "cols": 2, "entries": [[1, "1/2"], ["-3/4", 0]]}
     assert matrix_from_json_dict(d) == m
+    d = {"rows": 1, "cols": 3, "entries": [["-7", "4/6", "0/5"]]}
+    assert matrix_from_json_dict(d) == ExactMatrix.from_rows([[-7, "2/3", 0]])
 
 
 def test_json_validation():
@@ -255,6 +243,14 @@ def test_json_validation():
         {"rows": 1, "cols": 1, "entries": [["abc"]]},
         {"rows": 1, "cols": 1, "entries": [[None]]},
     ]
+    # entry strings are integers or "p/q" in ASCII digits only; Fraction
+    # alone would read decimals and exponents, strip padding and take
+    # non-ASCII digits
+    for text in ("2.5", "2.5e1", "1e2000", "1E3", " 1", "1 ", "1\n", "+1",
+                 "1/ 2", "1 /2", "1/-2", "-1/-2", "1_000", "\u0661\u0662",
+                 "\uff11", "\u00b2", "inf", "nan", "", "-", "/2", "1/"):
+        bad_cases.append({"rows": 1, "cols": 1, "entries": [[text]]})
     for bad in bad_cases:
         with pytest.raises(ValueError):
             matrix_from_json_dict(bad)
+

@@ -146,16 +146,11 @@ def test_conjugate_involution(parts):
         assert len(q) == p.parts[0]
 
 
-def test_str_and_parse_round_trip():
-    for text in ("[3,1]", "[]", "[6,3,1]", "[1,1,1]"):
-        assert str(Partition.parse(text)) == text
-    assert Partition.parse("[3, 1]") == Partition([3, 1])
-
-
-def test_parse_rejects_malformed():
-    for bad in ("3,1", "[3,]", "[a]", "[3 1]", "[-1]", "(3,1)", "[3,1] x"):
-        with pytest.raises(ValueError):
-            Partition.parse(bad)
+def test_str_golden():
+    assert str(Partition([1, 3])) == "[3,1]"
+    assert str(Partition()) == "[]"
+    assert str(Partition([6, 3, 1])) == "[6,3,1]"
+    assert str(Partition([1, 1, 1])) == "[1,1,1]"
 
 
 def test_equality_and_hash():

@@ -5,10 +5,11 @@ from hypothesis import given, strategies as st
 
 from segrekit import (Partition, SegreCharacteristic, SegreParseError,
                       count_segre_gf, count_segre_sum, enumerate_segre,
-                      format_segre, iter_partition_tuples, multipartitions,
+                      format_segre, iter_partition_tuples, iter_segre,
                       parse_segre, partition_count)
 
-from oracles import brute_force_segre_multisets, canonical_groups
+from oracles import (brute_force_segre_multisets, canonical_groups,
+                     multipartitions, segre_by_dedup_and_sort)
 
 # weights 0..11 of the counting sequence, frozen after verifying that the
 # generating function, the corrected partition sum, and brute-force multiset
@@ -84,30 +85,46 @@ def test_gf_agrees_with_sum_medium_range():
         assert count_segre_gf(n) == count_segre_sum(n), n
 
 
+# the multipartition tests pin the reference enumeration in oracles.py that
+# iter_segre is checked against
+
 def test_multipartitions_golden():
-    got = multipartitions(Partition([2, 1]))
-    assert [[g.parts for g in s.groups] for s in got] == [
-        [(2,), (1,)], [(1, 1), (1,)]]
-    assert len(multipartitions(Partition([1]))) == 1
-    assert len(multipartitions(Partition([3, 2]))) == 6
+    assert multipartitions((2, 1)) == [((2,), (1,)), ((1, 1), (1,))]
+    assert len(multipartitions((1,))) == 1
+    assert len(multipartitions((3, 2))) == 6
 
 
 def test_multipartitions_keeps_duplicates():
-    got = multipartitions(Partition([2, 2]))
+    got = multipartitions((2, 2))
     assert len(got) == 4  # p(2)^2 ordered tuples
-    assert len(set(got)) == 3  # ([2],[1,1]) and ([1,1],[2]) coincide
+    # ([2],[1,1]) and ([1,1],[2]) coincide
+    assert len({canonical_groups(m) for m in got}) == 3
 
 
 def test_multipartitions_length_is_product():
-    for outer in ([4], [2, 2, 1], [3, 3]):
-        p = Partition(outer)
-        expected = math.prod(partition_count(a) for a in p.parts)
-        assert len(multipartitions(p)) == expected
+    for outer in ((4,), (2, 2, 1), (3, 3)):
+        expected = math.prod(partition_count(a) for a in outer)
+        assert len(multipartitions(outer)) == expected
 
 
-def test_multipartitions_rejects_empty():
-    with pytest.raises(ValueError):
-        multipartitions(Partition())
+def test_iter_segre_matches_dedup_and_sort_reference():
+    assert [format_segre(SegreCharacteristic(groups))
+            for groups in segre_by_dedup_and_sort(4)] == N4_EXPECTED
+    for n in range(1, 13):
+        got = [tuple(g.parts for g in s.groups) for s in iter_segre(n)]
+        assert got == segre_by_dedup_and_sort(n), n
+
+
+def test_iter_segre_is_lazy():
+    items = iter_segre(30)
+    assert [format_segre(next(items)) for _ in range(3)] == [
+        "[(30)]", "[(29,1)]", "[(29),(1)]"]
+
+
+def test_iter_segre_rejects_bad_n():
+    for bad in (0, -1, True, 2.0):
+        with pytest.raises(ValueError):
+            next(iter_segre(bad))
 
 
 def test_enumerate_golden_n4():
@@ -125,15 +142,16 @@ def test_enumerate_lengths_match_counts():
 
 
 def test_enumerate_matches_brute_force_sets():
-    for n in range(1, 9):
-        got = {canonical_groups(g.parts for g in s.groups)
-               for s in enumerate_segre(n)}
-        assert got == brute_force_segre_multisets(n), n
+    for n in range(1, 13):
+        got = [canonical_groups(g.parts for g in s.groups)
+               for s in enumerate_segre(n)]
+        assert len(set(got)) == len(got), n
+        assert set(got) == brute_force_segre_multisets(n), n
 
 
 def test_enumerate_all_canonical_and_distinct():
     items = enumerate_segre(7)
-    assert all(s.is_canonical for s in items)
+    assert all(s.groups == s.canonical().groups for s in items)
     assert len(set(items)) == len(items)
     assert all(s.total_weight == 7 for s in items)
 
@@ -160,10 +178,10 @@ def test_enumerate_rejects_bad_n():
 def test_group_order_preserved_but_equality_canonical():
     s = SegreCharacteristic([[2, 1], [3], [1], [2, 1]])
     assert [g.parts for g in s.groups] == [(2, 1), (3,), (1,), (2, 1)]
-    assert not s.is_canonical
     c = s.canonical()
     assert [g.parts for g in c.groups] == [(3,), (2, 1), (2, 1), (1,)]
-    assert c.is_canonical
+    assert s.groups != c.groups
+    assert c.canonical().groups == c.groups
     assert s == c
     assert hash(s) == hash(c)
     assert SegreCharacteristic([[1], [2]]) == SegreCharacteristic([[2], [1]])
