@@ -6,9 +6,13 @@ itself is done by an integer core: a matrix is scaled once to d*A, with d
 the lcm of its entry denominators, and from then on every kernel runs on
 lists of rows of Python ints.  Products take inner products with
 sum(map(mul, row, col)), ranks come from fraction-free Bareiss
-elimination, characteristic polynomials from the Faddeev-LeVerrier
-recurrence with exact integer division, and rational roots from the
-rational root theorem with integer evaluation.  Every exactness the
+elimination, and characteristic polynomials from the Faddeev-LeVerrier
+recurrence with exact integer division.  Rational roots are integer roots
+of a monic polynomial (after y = a_n*x when the input is not monic); they
+are isolated by bisection over the integers with the Sturm chain of the
+square-free part, built from primitive pseudo-remainders, so the time is
+polynomial in the bit size of the coefficients, and each root's
+multiplicity comes from exact synthetic division.  Every exactness the
 integer arithmetic relies on is checked, and a failed check raises
 InternalInconsistencyError, which python -O does not remove.  The public
 functions taking an ExactMatrix are thin wrappers over these kernels.
@@ -26,19 +30,29 @@ class InternalInconsistencyError(RuntimeError):
     arithmetic guarantees left a remainder; indicates a bug, not bad input."""
 
 
+# the entry strings the README promises: an integer or "p/q", ASCII digits
+# only (Fraction alone would also take decimals, exponents and padding)
+_ENTRY_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _as_fraction(value) -> Fraction:
+    if type(value) is Fraction:  # immutable: no copy needed
+        return value
     if isinstance(value, float):
         raise TypeError(f"float entries are not exact, got {value!r}")
     if isinstance(value, bool):
         raise TypeError(f"entries must be numbers, got {value!r}")
+    if isinstance(value, str) and not _ENTRY_TEXT.fullmatch(value):
+        raise ValueError(
+            f"entry strings must be an integer or 'p/q', got {value!r}")
     return Fraction(value)
 
 
 class ExactMatrix:
     """Immutable dense matrix with Fraction entries.
 
-    Accepts ints, Fractions, and "p/q" strings as entries; floats are
-    rejected to keep every computation exact.
+    Accepts ints, Fractions, and strings matching -?[0-9]+(/[0-9]+)? as
+    entries; floats are rejected to keep every computation exact.
     """
 
     __slots__ = ("_rows", "_cols", "_entries")
@@ -345,17 +359,11 @@ def char_poly(a: ExactMatrix) -> PolynomialZ:
     return PolynomialZ(_int_char_poly(_scaled_rows(a)[0]))
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+def _horner(coeffs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _scaled_value(coeffs: list[int], p: int, q: int) -> int:
@@ -388,15 +396,114 @@ def _deflate(coeffs: list[int], p: int, q: int) -> list[int]:
     return out
 
 
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the positive gcd of its coefficients."""
+    c = math.gcd(*p)
+    return p if c == 1 else [x // c for x in p]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a divided by b.  Each step
+    scales by |lc(b)| rather than lc(b), so the sign survives."""
+    lb = b[-1]
+    scale, sign = abs(lb), (1 if lb > 0 else -1)
+    db = len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        k = len(r) - 1 - db
+        f = sign * r[-1]
+        r = [scale * x for x in r]
+        for i, y in enumerate(b):
+            r[i + k] -= f * y
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """p, p' and then minus each pseudo-remainder, every member after p made
+    primitive: a Sturm chain of p, ending in gcd(p, p') up to a constant."""
+    chain = [p, _primitive([i * c for i, c in enumerate(p) if i])]
+    while True:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
+            return chain
+        chain.append(_primitive([-x for x in r]))
+
+
+def _variations(chain: list[list[int]], x: int) -> int:
+    """Sign changes along the chain evaluated at x, zeros skipped."""
+    count, last = 0, 0
+    for p in chain:
+        v = _horner(p, x)
+        if v:
+            if last and (v < 0) != (last < 0):
+                count += 1
+            last = v
+    return count
+
+
+def _integer_roots(f: list[int]) -> list[int]:
+    """The distinct integer roots of the monic integer polynomial f of degree
+    at least 1, in no particular order.
+
+    g = f / gcd(f, f') has the same roots, each simple.  The number of roots
+    of g in (lo, hi] is the drop in sign variations of its Sturm chain from lo
+    to hi, so bisecting over the integers from (-B-1, B], with B the Cauchy
+    bound, isolates every real root in an interval of length 1 after about
+    log2(B) halvings per root; the right end of each such interval is tested
+    exactly.
+    """
+    chain = _sturm_chain(f)
+    h = chain[-1]
+    if len(h) > 1:
+        # h is primitive and divides the monic f, so by Gauss's lemma its
+        # leading coefficient is 1 or -1 and f / h has integer coefficients
+        if h[-1] < 0:
+            h = [-c for c in h]
+        rest = list(f)
+        g = [0] * (len(f) - len(h) + 1)
+        for k in range(len(g) - 1, -1, -1):
+            c = g[k] = rest[k + len(h) - 1]
+            for i, y in enumerate(h):
+                rest[i + k] -= c * y
+        if any(rest):
+            raise InternalInconsistencyError("gcd(f, f') must divide f exactly")
+        chain = _sturm_chain(g)
+    else:
+        g = f
+    bound = 1 + max(map(abs, g[:-1]))
+    lo, hi = -bound - 1, bound
+    todo = [(lo, _variations(chain, lo), hi, _variations(chain, hi))]
+    roots = []
+    while todo:
+        lo, vlo, hi, vhi = todo.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if _horner(g, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        vmid = _variations(chain, mid)
+        todo.append((lo, vlo, mid, vmid))
+        todo.append((mid, vmid, hi, vhi))
+    return roots
+
+
 def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[int, int, int]], int]:
     """Rational roots of the nonzero integer polynomial with the given
     coefficients (lowest degree first) as (p, q, multiplicity) with p/q in
     lowest terms and q > 0, in no particular order, plus the degree of the
     rootless factor left over.  For a monic polynomial every q is 1.
 
-    Candidates come from the rational root theorem (numerator divides the
-    trailing nonzero coefficient, denominator divides the leading one) and
-    are divided out by exact synthetic division until none remain.
+    Zero roots are stripped first.  With a the leading coefficient and n the
+    degree, y = a*x turns the rest into the monic F(y) = a**(n-1) * P(y/a),
+    whose rational roots are integers (a monic input is left as it is).
+    Those integer roots are found by Sturm bisection on the square-free part
+    of F (_integer_roots), in time polynomial in the bit size of the
+    coefficients; each root y/a is then divided out of the input by exact
+    synthetic division as often as it goes, which gives its multiplicity.
     """
     roots = []
     k0 = 0
@@ -406,20 +513,21 @@ def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[int, int, int]], int]
         roots.append((0, 1, k0))
         coeffs = coeffs[k0:]
     if len(coeffs) > 1:
-        nums = _divisors(coeffs[0])
-        dens = _divisors(coeffs[-1])
-        candidates = sorted({(s * p // g, q // g)
-                             for p in nums for q in dens for s in (1, -1)
-                             for g in (math.gcd(p, q),)})
-        for p, q in candidates:
-            if len(coeffs) == 1:
-                break
+        a = coeffs[-1]
+        n = len(coeffs) - 1
+        monic = coeffs if a == 1 else (
+            [c * a ** (n - 1 - i) for i, c in enumerate(coeffs[:-1])] + [1])
+        for y in _integer_roots(monic):
+            g = math.gcd(y, a) * (1 if a > 0 else -1)
+            p, q = y // g, a // g
             mult = 0
             while len(coeffs) > 1 and _scaled_value(coeffs, p, q) == 0:
                 coeffs = _deflate(coeffs, p, q)
                 mult += 1
-            if mult:
-                roots.append((p, q, mult))
+            if not mult:
+                raise InternalInconsistencyError(
+                    f"Sturm bisection found {p}/{q}, which is not a root")
+            roots.append((p, q, mult))
     return roots, len(coeffs) - 1
 
 
@@ -451,11 +559,6 @@ def rational_eigenvalues(a: ExactMatrix) -> tuple[list[tuple[Fraction, int]], in
     return sorted((Fraction(p, q * d), mult) for p, q, mult in roots), remainder
 
 
-# the entry strings the README promises: an integer or "p/q", ASCII digits
-# only (Fraction alone would also take decimals, exponents and padding)
-_ENTRY_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
 def matrix_from_json_dict(data) -> ExactMatrix:
     """Matrix from {"rows": n, "cols": m, "entries": [[...], ...]}, validated.
 
@@ -479,14 +582,11 @@ def matrix_from_json_dict(data) -> ExactMatrix:
         if not isinstance(row, list) or len(row) != cols:
             raise ValueError(f"row {i} must be a list of {cols} entries")
         for j, e in enumerate(row):
-            if isinstance(e, str) and _ENTRY_TEXT.fullmatch(e):
-                try:
-                    flat.append(Fraction(e))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ValueError(f"entry ({i}, {j}) is not a valid fraction: {e!r}") from exc
-            elif isinstance(e, int) and not isinstance(e, bool):
-                flat.append(Fraction(e))
-            else:
+            if isinstance(e, bool) or not isinstance(e, (int, str)):
                 raise ValueError(
                     f"entry ({i}, {j}) must be an integer or 'p/q' string, got {e!r}")
+            try:
+                flat.append(_as_fraction(e))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"entry ({i}, {j}) is not a valid fraction: {e!r}") from exc
     return ExactMatrix(rows, cols, flat)

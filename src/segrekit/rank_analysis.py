@@ -97,7 +97,8 @@ class RankPattern:
     @classmethod
     def parse(cls, text: str) -> "RankPattern":
         """Parse the textual form "n=10: 10,7,5,3,2,1,0"."""
-        m = re.fullmatch(r"\s*n\s*=\s*(\d+)\s*:\s*(\d+(?:\s*,\s*\d+)*)\s*", text)
+        m = re.fullmatch(
+            r"\s*n\s*=\s*([0-9]+)\s*:\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*", text)
         if not m:
             raise ValueError(f"malformed rank pattern: {text!r}")
         n = int(m.group(1))

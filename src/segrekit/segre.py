@@ -121,7 +121,7 @@ def parse_segre(text: str) -> SegreCharacteristic:
         nonlocal pos
         skip_ws()
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and "0" <= text[pos] <= "9":
             pos += 1
         if pos == start:
             raise SegreParseError("expected an integer", start)

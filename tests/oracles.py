@@ -6,7 +6,8 @@ table instead of Euler's pentagonal recurrence, division-based Gaussian
 elimination over Fraction instead of fraction-free Bareiss on integers,
 polynomial convolution and interpolation of determinants instead of
 Faddeev-LeVerrier, Fraction arithmetic throughout instead of one
-denominator-clearing scale, brute-force multiset collection instead of
+denominator-clearing scale, the rational root theorem's divisor candidates
+instead of Sturm bisection, brute-force multiset collection instead of
 generating-function or recursive counting, deduplication and a global sort
 instead of canonical generation in order.
 """
@@ -238,6 +239,65 @@ def fraction_rational_roots(coeffs):
             poly = out[::-1]
             roots[x] = roots.get(x, 0) + 1
     return sorted(roots.items()), len(poly) - 1
+
+
+def divisors(n):
+    """The positive divisors of n != 0, ascending, by trial division up to
+    sqrt(|n|)."""
+    n = abs(n)
+    small, large = [], []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            small.append(i)
+            if i != n // i:
+                large.append(n // i)
+        i += 1
+    return small + large[::-1]
+
+
+def divisor_rational_roots(coeffs):
+    """Rational roots of a nonzero integer polynomial (lowest degree first)
+    as (p, q, multiplicity) with p/q in lowest terms and q > 0, plus the
+    degree left over: every candidate of the rational root theorem (p
+    divides the trailing nonzero coefficient, q the leading one) is tested
+    by integer evaluation of q**deg * P(p/q) and divided out by synthetic
+    division.  Time grows with the square root of the coefficients, so only
+    for small ones."""
+
+    def scaled_value(cs, p, q):
+        acc, qpow = cs[-1], 1
+        for c in reversed(cs[:-1]):
+            qpow *= q
+            acc = acc * p + c * qpow
+        return acc
+
+    def deflate(cs, p, q):
+        n = len(cs) - 1
+        out = [0] * n
+        out[n - 1] = cs[n] // q
+        for k in range(n - 1, 0, -1):
+            out[k - 1] = (cs[k] + p * out[k]) // q
+        return out
+
+    roots = []
+    k0 = next(k for k, c in enumerate(coeffs) if c)
+    if k0:
+        roots.append((0, 1, k0))
+    coeffs = list(coeffs[k0:])
+    if len(coeffs) > 1:
+        candidates = sorted({(s * p // g, q // g)
+                             for p in divisors(coeffs[0])
+                             for q in divisors(coeffs[-1]) for s in (1, -1)
+                             for g in (math.gcd(p, q),)})
+        for p, q in candidates:
+            mult = 0
+            while len(coeffs) > 1 and scaled_value(coeffs, p, q) == 0:
+                coeffs = deflate(coeffs, p, q)
+                mult += 1
+            if mult:
+                roots.append((p, q, mult))
+    return roots, len(coeffs) - 1
 
 
 def fraction_analyze(rows):

@@ -232,6 +232,9 @@ def test_analyze_rejects_entry_strings_outside_the_grammar(tmp_path, capsys):
         assert main(["analyze", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: entry (0, 0)") and err.count("\n") == 1
+    # rank patterns follow the same ASCII-digit grammar
+    assert main(["rankpattern", "n=\u0663: \u0663,\u0660"]) == 2
+    assert "malformed" in capsys.readouterr().err
 
 
 def test_render_svg_to_file(tmp_path, capsys):

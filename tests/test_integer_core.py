@@ -139,7 +139,10 @@ def test_exactness_checks_survive_python_O():
                                            [0, Fraction(1, 2)]]),
             lambda: linalg._int_rank([[2, 1, 0], [1, 2, 1],
                                       [Fraction(1, 3), 1, 2]]),
+            lambda: linalg._rational_roots([1, 1]),
         ]
+        # a root search that reports 2 as a root of x + 1
+        linalg._integer_roots = lambda f: [2]
         for case in cases:
             try:
                 case()
@@ -152,4 +155,4 @@ def test_exactness_checks_survive_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["raised"] * 3
+    assert done.stdout.split() == ["raised"] * 4

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from segrekit import (ExactMatrix, PolynomialZ, char_poly, mat_mul,
-                      matrix_from_json_dict, rank, rational_eigenvalues,
-                      rational_roots, shift)
+from segrekit import (ExactMatrix, JordanSpec, PolynomialZ, char_poly,
+                      mat_mul, matrix_from_json_dict, rank,
+                      rational_eigenvalues, rational_roots, shift)
 
 from oracles import gaussian_rank, poly_from_linear_factors
 
@@ -56,6 +56,17 @@ def test_construction_rejects_bad_input():
         ExactMatrix(0, 1, [])
     with pytest.raises(IndexError):
         ExactMatrix.identity(2).entry(2, 0)
+
+
+def test_entry_strings_outside_the_grammar_are_rejected():
+    # Fraction alone would read these as 25, 3, a 2001-digit integer and 3
+    for text in ("2.5e1", " 3 ", "1e2000", "\u0663"):
+        with pytest.raises(ValueError):
+            ExactMatrix.from_rows([[text, 1]])
+        with pytest.raises(ValueError):
+            shift(ExactMatrix.identity(2), text)
+        with pytest.raises(ValueError):
+            JordanSpec([[1]], [text])
 
 
 def test_equality_and_hash():

@@ -139,7 +139,8 @@ def test_text_forms():
 
 
 def test_parse_rejects_malformed():
-    for bad in ("", "10,7,5", "n=10 10,7", "n=x: 3,1", "n=3: ", "n=3: 3,a"):
+    for bad in ("", "10,7,5", "n=10 10,7", "n=x: 3,1", "n=3: ", "n=3: 3,a",
+                "n=\u0663: \u0663,\u0660"):
         with pytest.raises(ValueError):
             RankPattern.parse(bad)
 

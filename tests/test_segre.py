@@ -237,6 +237,9 @@ def test_parse_errors_carry_positions():
         "[(1,)]": 4,
         "[(1)": 4,
         "[(1)] trailing": 6,
+        # digits are ASCII only; str.isdigit() would take these two
+        "[(\u0663)]": 2,
+        "[(\u00b2)]": 2,
     }
     for text, pos in cases.items():
         with pytest.raises(SegreParseError) as err:
