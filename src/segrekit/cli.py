@@ -28,10 +28,21 @@ EXIT_IRRATIONAL = 4
 EXIT_IO = 5
 EXIT_BAD_PATTERN = 6
 
+MAX_PATTERN_DIMENSION = 10**6  # rankpattern prints up to n block sizes
+
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _integer(text: str) -> int:
+    # -?[0-9]+ only: int() also takes non-ASCII digits, padding, "+" and "_"
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"invalid integer {text!r}: use ASCII digits 0-9")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser(
         "count", help="number of equivalence classes of n x n structures")
-    p_count.add_argument("n", type=int)
+    p_count.add_argument("n", type=_integer)
     p_count.add_argument("--method", choices=("gf", "sum", "both"),
                          default="gf",
                          help="generating function, partition sum, or both "
@@ -51,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser(
         "enumerate", help="list every Segre characteristic of weight n")
-    p_enum.add_argument("n", type=int)
+    p_enum.add_argument("n", type=_integer)
     p_enum.add_argument("--format", choices=("text", "json"), default="text")
 
     p_analyze = sub.add_parser(
@@ -63,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_render = sub.add_parser(
         "render", help="draw every weight-n structure as SVG or ASCII")
-    p_render.add_argument("n", type=int)
+    p_render.add_argument("n", type=_integer)
     p_render.add_argument("--out", help="output path (default: stdout)")
-    p_render.add_argument("--columns", type=int, default=4)
+    p_render.add_argument("--columns", type=_integer, default=4)
     p_render.add_argument("--format", choices=("svg", "ascii"), default="svg")
 
     p_rank = sub.add_parser(
@@ -79,19 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_count(args) -> int:
     if args.n < 0:
         return _fail("n must be >= 0", EXIT_USAGE)
-    if args.method == "gf":
-        print(count_segre_gf(args.n))
-    elif args.method == "sum":
-        print(count_segre_sum(args.n))
-    else:
-        by_gf = count_segre_gf(args.n)
-        by_sum = count_segre_sum(args.n)
-        print(by_gf)
-        print(by_sum)
-        if by_gf != by_sum:
-            return _fail(
-                f"counting methods disagree: gf={by_gf} sum={by_sum}",
-                EXIT_MISMATCH)
+    methods = {"gf": (count_segre_gf,), "sum": (count_segre_sum,),
+               "both": (count_segre_gf, count_segre_sum)}[args.method]
+    counts = [count(args.n) for count in methods]
+    print(*counts, sep="\n")
+    if len(set(counts)) > 1:
+        return _fail("counting methods disagree: gf={} sum={}".format(*counts),
+                     EXIT_MISMATCH)
     return EXIT_OK
 
 
@@ -174,6 +179,9 @@ def cmd_rankpattern(args) -> int:
         pattern = RankPattern.parse(args.pattern)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    if pattern.dimension > MAX_PATTERN_DIMENSION:
+        return _fail(f"dimension {pattern.dimension} exceeds the limit of "
+                     f"{MAX_PATTERN_DIMENSION}", EXIT_USAGE)
     try:
         growth = nullity_growth(pattern)
     except NonMonotoneGrowthError as exc:

@@ -10,7 +10,9 @@ import itertools
 import math
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
+from operator import mul
 
+from .linalg import InternalInconsistencyError
 from .partitions import Partition, iter_partition_tuples, partition_count
 
 
@@ -214,60 +216,49 @@ def enumerate_segre(n: int) -> list[SegreCharacteristic]:
     return list(iter_segre(n))
 
 
+def _check_weight(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"n must be >= 0, got {n!r}")
+
+
 def count_segre_gf(n: int) -> int:
     """Count characteristics of weight n by generating function.
 
-    Extracts the x^n coefficient of prod_{k>=1} (1 - x^k)^(-p(k)) using
-    truncated integer polynomial products; the k-th factor expands to
-    sum_j C(p(k)+j-1, j) x^(kj).  Exact for any n.
+    prod_{k>=1} (1 - x^k)^(-p(k)), the Euler transform of the partition
+    numbers (Bernstein and Sloane 1995), gives by its logarithmic derivative
+    n a(n) = sum_{k=1..n} c(k) a(n-k), c(k) = sum_{d | k} d p(d): divisor
+    sums and an exact division, checked (InternalInconsistencyError).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be >= 0, got {n!r}")
-    if n == 0:
-        return 1
-    coeffs = [0] * (n + 1)
-    coeffs[0] = 1
-    for k in range(1, n + 1):
-        pk = partition_count(k)
-        factor = [(j * k, math.comb(pk + j - 1, j)) for j in range(1, n // k + 1)]
-        new = coeffs[:]
-        for i in range(n + 1):
-            a = coeffs[i]
-            if not a:
-                continue
-            for off, c in factor:
-                if i + off > n:
-                    break
-                new[i + off] += a * c
-        coeffs = new
-    return coeffs[n]
-
-
-@lru_cache(maxsize=None)
-def _sum_over_partitions(remaining: int, max_part: int) -> int:
-    # Sum over partitions of `remaining` with parts <= max_part of the
-    # product, over distinct part values v used t times, of the number of
-    # multisets of t partitions of v, C(p(v)+t-1, t).
-    if remaining == 0:
-        return 1
-    total = 0
-    for v in range(min(remaining, max_part), 0, -1):
-        pv = partition_count(v)
-        for t in range(1, remaining // v + 1):
-            total += math.comb(pv + t - 1, t) * _sum_over_partitions(
-                remaining - t * v, v - 1)
-    return total
+    _check_weight(n)
+    c = [0] * (n + 1)
+    for d in range(1, n + 1):
+        dp = d * partition_count(d)
+        for k in range(d, n + 1, d):
+            c[k] += dp
+    a = [1]
+    for m in range(1, n + 1):
+        q, r = divmod(sum(map(mul, c[1:m + 1], reversed(a))), m)
+        if r:
+            raise InternalInconsistencyError(f"Euler transform: a({m}) inexact")
+        a.append(q)
+    return a[n]
 
 
 def count_segre_sum(n: int) -> int:
-    """Count characteristics of weight n by direct summation over partitions.
+    """Count characteristics of weight n by summation over partitions.
 
-    For each partition of n read as the multiset of group weights, the
-    number of characteristics realizing it is the product over distinct
-    weights v (used t times) of C(p(v)+t-1, t): a multiset of t partitions
-    of v per repeated weight.  No polynomial arithmetic is involved, so
-    this is an independent check of count_segre_gf.
+    A partition of n, read as the multiset of group weights, is realized by
+    the product over distinct weights v (used t times) of C(p(v)+t-1, t)
+    characteristics.  After step k, totals[i] is that sum over partitions
+    of i into parts <= k; k used t times adds C(p(k)+t-1, t) totals[i-tk]:
+    binomials and products only, an independent check of count_segre_gf.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be >= 0, got {n!r}")
-    return _sum_over_partitions(n, n)
+    _check_weight(n)
+    totals = [1] + [0] * n
+    for k in range(1, n + 1):
+        pk = partition_count(k)
+        below = totals[:]
+        for t in range(1, n // k + 1):
+            c = math.comb(pk + t - 1, t)
+            totals[t * k:] = [x + c * y for x, y in zip(totals[t * k:], below)]
+    return totals[n]

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -74,6 +75,19 @@ def test_count_usage_errors(capsys):
     assert main(["count", "x"]) == 2
     assert main(["count", "4", "--method", "nope"]) == 2
     assert main(["count"]) == 2
+
+
+def test_integer_arguments_take_ascii_digits_only(capsys):
+    # int() alone reads "\u0663" as 3, " 1_0 " as 10 and "+5" as 5
+    for text in ("\u0663", " 1_0 ", "+5", "1e3", "5 ", "1_0", "\uff15"):
+        for argv in (["count", text], ["enumerate", text], ["render", text],
+                     ["render", "2", "--columns", text]):
+            code, err = run_main(argv)
+            assert code == 2, argv
+            assert "invalid integer" in err and "Traceback" not in err, argv
+    # leading zeros are still ASCII digits
+    assert main(["count", "007"]) == 0
+    assert capsys.readouterr().out == "111\n"
 
 
 def test_enumerate_text(capsys):
@@ -303,6 +317,28 @@ def test_rankpattern_errors(capsys):
     assert "error:" in err
 
 
+def test_rankpattern_dimension_is_capped():
+    # the conjugate of a growth sequence with a 10^12 entry once asked for a
+    # 10^12-element list and died with a MemoryError traceback
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "segrekit", "rankpattern",
+         "n=999999999999: 999999999999,0"],
+        env=env, capture_output=True, text=True, timeout=5)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_rankpattern_at_the_dimension_cap(capsys):
+    assert main(["rankpattern", "n=1000000: 1000000,999999,999998"]) == 0
+    assert capsys.readouterr().out == ("growth: [1,1]\n"
+                                       "blocks: [2]\n")
+    assert main(["rankpattern", "n=1000001: 1000001,1000000"]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
 def test_usage_and_help(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -408,6 +444,34 @@ def characteristic_texts(draw):
         else:
             text = text[:at] + draw(st.sampled_from("()[],0123 -")) + text[at:]
     return text
+
+
+# integer arguments: padding, signs, underscores, exponents and non-ASCII
+# digits around at most two digits 0 or 1, so that even a converter that let
+# them through would ask for n <= 11
+integer_texts = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["", " ", "\t", "+", "-", "0", "\u0660"]),
+    st.sampled_from(["0", "1", "\u0660", "\u0661", "\u0967", "\uff11",
+                     "\U0001d7cf", "\u00b9", "x"]),
+    st.sampled_from(["", "_1", "\u0661", "1", "1_"]),
+    st.sampled_from(["", " ", "\n", "e1", ".0"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=integer_texts,
+       argv=st.sampled_from([["count", "{}"], ["count", "{}", "--method", "both"],
+                             ["enumerate", "{}"], ["render", "{}"],
+                             ["render", "1", "--columns", "{}"]]))
+def test_fuzz_integer_arguments(text, argv):
+    argv = [a.format(text) for a in argv]
+    code, err = run_main(argv)
+    assert "Traceback" not in err
+    ascii_integer = re.fullmatch(r"-?[0-9]+", text)
+    minimum = 0 if argv[0] == "count" else 1
+    assert code == (0 if ascii_integer and int(text) >= minimum else 2), (
+        argv, code, err)
 
 
 @settings(max_examples=150, deadline=None)

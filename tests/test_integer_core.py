@@ -131,7 +131,7 @@ def test_exactness_checks_survive_python_O():
     # each case feeds a kernel input that breaks the exactness it relies on
     code = textwrap.dedent("""
         from fractions import Fraction
-        from segrekit import InternalInconsistencyError, linalg
+        from segrekit import InternalInconsistencyError, linalg, segre
         assert False, "asserts must be stripped"
         cases = [
             lambda: linalg._deflate([1, 0, 1], 1, 2),
@@ -140,9 +140,12 @@ def test_exactness_checks_survive_python_O():
             lambda: linalg._int_rank([[2, 1, 0], [1, 2, 1],
                                       [Fraction(1, 3), 1, 2]]),
             lambda: linalg._rational_roots([1, 1]),
+            lambda: segre.count_segre_gf(3),
         ]
         # a root search that reports 2 as a root of x + 1
         linalg._integer_roots = lambda f: [2]
+        # partition numbers that make the Euler-transform division inexact
+        segre.partition_count = lambda n: Fraction(1, 2)
         for case in cases:
             try:
                 case()
@@ -155,4 +158,4 @@ def test_exactness_checks_survive_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["raised"] * 4
+    assert done.stdout.split() == ["raised"] * 5

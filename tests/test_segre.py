@@ -64,8 +64,9 @@ def test_counts_match_brute_force_multisets():
 
 
 def test_sum_method_matches_direct_summation():
-    # the same multiset-coefficient sum, evaluated by explicit enumeration
-    # of the outer partitions rather than memoized recursion
+    # the same multiset-coefficient sum, evaluated term by term over an
+    # explicit enumeration of the outer partitions instead of grouped by
+    # part value
     def direct(n):
         total = 0
         for lam in iter_partition_tuples(n):
@@ -81,7 +82,7 @@ def test_sum_method_matches_direct_summation():
 
 
 def test_gf_agrees_with_sum_medium_range():
-    for n in range(41):
+    for n in range(201):
         assert count_segre_gf(n) == count_segre_sum(n), n
 
 
