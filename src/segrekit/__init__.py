@@ -21,9 +21,8 @@ from .linalg import (ExactMatrix, PolynomialZ, char_poly, mat_mul,
 from .jordan import (AnalysisReport, EigenvalueReport,
                      InternalInconsistencyError, IrrationalEigenvalueError,
                      JordanSpec, analyze, build_jordan, rank_pattern_of)
-from .render import (ONE_CELL, StructureGrid, grid_of, render_ascii,
-                     render_ferrers, render_ferrers_conjugate_pair,
-                     render_svg)
+from .render import (StructureGrid, grid_of, render_ascii, render_ferrers,
+                     render_ferrers_conjugate_pair, render_svg)
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,6 @@ __all__ = [
     "IrrationalEigenvalueError",
     "JordanSpec",
     "NonMonotoneGrowthError",
-    "ONE_CELL",
     "Partition",
     "PolynomialZ",
     "RankPattern",

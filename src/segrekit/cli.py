@@ -17,9 +17,8 @@ from .jordan import (IrrationalEigenvalueError, JordanSpec, analyze,
 from .linalg import matrix_from_json_dict
 from .rank_analysis import (NonMonotoneGrowthError, RankPattern,
                             blocks_from_rank_pattern, nullity_growth)
-from .render import grid_of, render_ascii, render_svg
-from .segre import (count_segre_gf, count_segre_sum, enumerate_segre,
-                    format_segre, iter_segre)
+from .render import _svg_pieces, grid_of, render_ascii
+from .segre import count_segre_gf, count_segre_sum, format_segre, iter_segre
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -29,6 +28,7 @@ EXIT_IO = 5
 EXIT_BAD_PATTERN = 6
 
 MAX_PATTERN_DIMENSION = 10**6  # rankpattern prints up to n block sizes
+MAX_WEIGHT = 10**4  # count and render allocate and sum n + 1 counts
 
 
 def _fail(message: str, code: int) -> int:
@@ -90,6 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_count(args) -> int:
     if args.n < 0:
         return _fail("n must be >= 0", EXIT_USAGE)
+    if args.n > MAX_WEIGHT:
+        return _fail(f"n exceeds the limit of {MAX_WEIGHT}", EXIT_USAGE)
     methods = {"gf": (count_segre_gf,), "sum": (count_segre_sum,),
                "both": (count_segre_gf, count_segre_sum)}[args.method]
     counts = [count(args.n) for count in methods]
@@ -153,24 +155,29 @@ def cmd_analyze(args) -> int:
 def cmd_render(args) -> int:
     if args.n < 1:
         return _fail("n must be >= 1", EXIT_USAGE)
+    if args.n > MAX_WEIGHT:
+        return _fail(f"n exceeds the limit of {MAX_WEIGHT}", EXIT_USAGE)
     if args.columns < 1:
         return _fail("--columns must be >= 1", EXIT_USAGE)
-    items = enumerate_segre(args.n)
-    grids = [grid_of(JordanSpec.positional(s)) for s in items]
+    items = iter_segre(args.n)
     if args.format == "svg":
-        text = render_svg(grids, args.columns)
+        # the header needs the grid count up front; _svg_pieces checks it
+        # against the number of characteristics enumerated
+        pieces = _svg_pieces((grid_of(JordanSpec.positional(s)) for s in items),
+                             count_segre_gf(args.n), args.n, args.columns)
     else:
-        blocks = [f"{format_segre(s)}\n{render_ascii(g)}"
-                  for s, g in zip(items, grids)]
-        text = "\n\n".join(blocks) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return _fail(f"cannot write {args.out}: {exc}", EXIT_IO)
-    else:
-        sys.stdout.write(text)
+        pieces = (("\n" if i else "") + format_segre(s) + "\n"
+                  + render_ascii(grid_of(JordanSpec.positional(s))) + "\n"
+                  for i, s in enumerate(items))
+    if not args.out:
+        # a closed pipe raises BrokenPipeError here, which run() handles
+        sys.stdout.writelines(pieces)
+        return EXIT_OK
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc}", EXIT_IO)
     return EXIT_OK
 
 

@@ -366,32 +366,14 @@ def _horner(coeffs: list[int], x: int) -> int:
     return acc
 
 
-def _scaled_value(coeffs: list[int], p: int, q: int) -> int:
-    """q**deg * P(p/q) for P with the given coefficients: an integer that is
-    zero exactly when p/q is a root."""
-    acc = coeffs[-1]
-    qpow = 1
-    for c in reversed(coeffs[:-1]):
-        qpow *= q
-        acc = acc * p + c * qpow
-    return acc
-
-
-def _deflate(coeffs: list[int], p: int, q: int) -> list[int]:
-    # divide by (q*x - p) with p/q in lowest terms; exact over the integers
-    # whenever p/q is a root (Gauss's lemma)
-    n = len(coeffs) - 1
-    out = [0] * n
-    acc, rem = divmod(coeffs[n], q)
-    if rem:
-        raise InternalInconsistencyError("leading coefficient must divide exactly")
-    out[n - 1] = acc
-    for k in range(n - 1, 0, -1):
-        acc, rem = divmod(coeffs[k] + p * out[k], q)
-        if rem:
-            raise InternalInconsistencyError("synthetic division must be exact")
-        out[k - 1] = acc
-    if coeffs[0] + p * out[0] != 0:
+def _deflate(f: list[int], y: int) -> list[int]:
+    """The monic integer f divided by (x - y), by synthetic division; the
+    remainder f(y) must be zero."""
+    out = [0] * (len(f) - 1)
+    acc = 0
+    for k in range(len(f) - 1, 0, -1):
+        acc = out[k - 1] = f[k] + y * acc
+    if f[0] + y * acc != 0:
         raise InternalInconsistencyError("claimed root must divide exactly")
     return out
 
@@ -502,8 +484,9 @@ def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[int, int, int]], int]
     whose rational roots are integers (a monic input is left as it is).
     Those integer roots are found by Sturm bisection on the square-free part
     of F (_integer_roots), in time polynomial in the bit size of the
-    coefficients; each root y/a is then divided out of the input by exact
-    synthetic division as often as it goes, which gives its multiplicity.
+    coefficients.  Each root y is divided out of F by exact synthetic
+    division as often as it goes, which gives the multiplicity of y/a in the
+    input, since F is the input with x scaled and a constant factor.
     """
     roots = []
     k0 = 0
@@ -511,24 +494,23 @@ def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[int, int, int]], int]
         k0 += 1
     if k0:
         roots.append((0, 1, k0))
-        coeffs = coeffs[k0:]
-    if len(coeffs) > 1:
-        a = coeffs[-1]
-        n = len(coeffs) - 1
-        monic = coeffs if a == 1 else (
-            [c * a ** (n - 1 - i) for i, c in enumerate(coeffs[:-1])] + [1])
-        for y in _integer_roots(monic):
-            g = math.gcd(y, a) * (1 if a > 0 else -1)
-            p, q = y // g, a // g
-            mult = 0
-            while len(coeffs) > 1 and _scaled_value(coeffs, p, q) == 0:
-                coeffs = _deflate(coeffs, p, q)
-                mult += 1
-            if not mult:
-                raise InternalInconsistencyError(
-                    f"Sturm bisection found {p}/{q}, which is not a root")
-            roots.append((p, q, mult))
-    return roots, len(coeffs) - 1
+    f = coeffs[k0:]
+    a, n = f[-1], len(f) - 1
+    if n == 0:
+        return roots, 0
+    if a != 1:
+        f = [c * a ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    for y in _integer_roots(f):
+        mult = 0
+        while _horner(f, y) == 0:
+            f = _deflate(f, y)
+            mult += 1
+        if not mult:
+            raise InternalInconsistencyError(
+                f"Sturm bisection found {y}, which is not a root of F")
+        g = math.gcd(y, a) * (1 if a > 0 else -1)
+        roots.append((y // g, a // g, mult))
+    return roots, len(f) - 1
 
 
 def rational_roots(poly: PolynomialZ) -> tuple[list[tuple[Fraction, int]], int]:

@@ -1,19 +1,18 @@
-"""Diagrams of Jordan structure: cell grids, ASCII, SVG, Ferrers.
+"""Diagrams of Jordan structure: block runs, ASCII, SVG, Ferrers.
 
 A structure grid is the n x n sparsity-and-coloring pattern of a Jordan
-matrix: eigenvalue cells on the diagonal (colored by group), 1-cells on
-the superdiagonal, everything else zero.  The SVG output is byte
-deterministic: same input, same bytes.
+matrix, stored as one (size, group) run per Jordan block in diagonal
+order.  Each row of a block holds its group's color on the diagonal, a 1
+to its right unless it is the block's last row, and zeros elsewhere.  The
+SVG output is byte deterministic: same input, same bytes.
 """
 
 import string
-from math import ceil
+from dataclasses import dataclass
 
 from .jordan import JordanSpec
+from .linalg import InternalInconsistencyError
 from .partitions import Partition
-
-# cell value for a superdiagonal 1; positive values are 1-based group indexes
-ONE_CELL = 0
 
 CELL_PX = 16
 GUTTER_PX = 8
@@ -21,72 +20,46 @@ GUTTER_PX = 8
 _PALETTE = ("#ffa500", "#008000", "#ff0000", "#0000ff", "#800080")
 
 
+@dataclass(frozen=True)
 class StructureGrid:
-    """Sparse cell map of a Jordan matrix's structure.
+    """The Jordan blocks of a matrix as (size, group) runs down the
+    diagonal, group a 1-based eigenvalue index."""
 
-    cells maps 1-based (row, col) to ONE_CELL or an eigenvalue group
-    index >= 1; absent positions are zero.  Eigenvalue cells may only sit
-    on the diagonal and 1-cells only on the superdiagonal.
-    """
+    runs: tuple
 
-    __slots__ = ("_n", "_cells")
-
-    def __init__(self, n: int, cells: dict):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"grid size must be a positive integer, got {n!r}")
-        checked = {}
-        for (r, c), v in cells.items():
-            if not (1 <= r <= n and 1 <= c <= n):
-                raise ValueError(f"cell ({r}, {c}) outside the {n}x{n} grid")
-            if v == ONE_CELL:
-                if c != r + 1:
-                    raise ValueError(f"1-cell at ({r}, {c}) is off the superdiagonal")
-            elif isinstance(v, int) and v >= 1:
-                if c != r:
-                    raise ValueError(f"eigenvalue cell at ({r}, {c}) is off the diagonal")
-            else:
-                raise ValueError(f"bad cell value {v!r} at ({r}, {c})")
-            checked[(r, c)] = v
-        self._n = n
-        self._cells = checked
+    def __post_init__(self):
+        runs = tuple((size, group) for size, group in self.runs)
+        if not runs:
+            raise ValueError("a structure grid needs at least one block")
+        for run in runs:
+            if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
+                       for v in run):
+                raise ValueError(f"block run {run!r} needs a positive size and group")
+        object.__setattr__(self, "runs", runs)
 
     @property
     def n(self) -> int:
-        return self._n
-
-    @property
-    def cells(self) -> dict:
-        return dict(self._cells)
-
-    def cell(self, r: int, c: int):
-        """ONE_CELL, a group index, or None for a zero cell."""
-        return self._cells.get((r, c))
+        return sum(size for size, _ in self.runs)
 
     @property
     def group_count(self) -> int:
-        return max((v for v in self._cells.values() if v != ONE_CELL), default=0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StructureGrid):
-            return NotImplemented
-        return self._n == other._n and self._cells == other._cells
-
-    def __repr__(self) -> str:
-        return f"StructureGrid({self._n}, {len(self._cells)} cells)"
+        return max(group for _, group in self.runs)
 
 
 def grid_of(spec: JordanSpec) -> StructureGrid:
-    """Structure grid of build_jordan(spec); group i colors its diagonal run."""
-    cells = {}
-    offset = 0
-    for index, group in enumerate(spec.segre.groups, start=1):
-        for size in group.parts:
-            for r in range(offset + 1, offset + size + 1):
-                cells[(r, r)] = index
-            for r in range(offset + 1, offset + size):
-                cells[(r, r + 1)] = ONE_CELL
-            offset += size
-    return StructureGrid(spec.dimension, cells)
+    """Structure grid of build_jordan(spec); group i colors its blocks."""
+    return StructureGrid(tuple((size, index) for index, group
+                               in enumerate(spec.segre.groups, start=1)
+                               for size in group.parts))
+
+
+def _rows(grid: StructureGrid):
+    # (0-based row, its group, whether a 1 sits right of the diagonal)
+    r = 0
+    for size, group in grid.runs:
+        for k in range(size):
+            yield r + k, group, k < size - 1
+        r += size
 
 
 def render_ascii(grid: StructureGrid) -> str:
@@ -98,18 +71,13 @@ def render_ascii(grid: StructureGrid) -> str:
     (lines are then wider than n characters).
     """
     lettered = grid.group_count <= len(string.ascii_lowercase)
-
-    def glyph(r: int, c: int) -> str:
-        v = grid.cell(r, c)
-        if v is None:
-            return "."
-        if v == ONE_CELL:
-            return "1"
-        return string.ascii_lowercase[v - 1] if lettered else f"<{v}>"
-
-    return "\n".join(
-        "".join(glyph(r, c) for c in range(1, grid.n + 1))
-        for r in range(1, grid.n + 1))
+    n = grid.n
+    lines = []
+    for r, group, one in _rows(grid):
+        glyph = string.ascii_lowercase[group - 1] if lettered else f"<{group}>"
+        right = "1" if one else ""
+        lines.append("." * r + glyph + right + "." * (n - r - 1 - len(right)))
+    return "\n".join(lines)
 
 
 def _fill(index: int) -> str:
@@ -123,12 +91,46 @@ def _fill(index: int) -> str:
     return "#" + "".join(f"{ch:02x}" for ch in channels)
 
 
-def _cell_fill(value) -> str:
-    if value is None:
-        return "#ffffff"
-    if value == ONE_CELL:
-        return "#000000"
-    return _fill(value)
+def _svg_grid(grid: StructureGrid, x: int, y: int) -> str:
+    n = grid.n
+    out = [f'<g class="grid" transform="translate({x},{y})">\n']
+    for r, group, one in _rows(grid):
+        fills = ["#ffffff"] * n
+        fills[r] = _fill(group)
+        if one:
+            fills[r + 1] = "#000000"
+        out.extend(f'<rect x="{c * CELL_PX}" y="{r * CELL_PX}" '
+                   f'width="{CELL_PX}" height="{CELL_PX}" fill="{fill}" '
+                   'stroke="#cccccc" stroke-width="0.5"/>\n'
+                   for c, fill in enumerate(fills))
+    out.append(f'<rect x="0" y="0" width="{n * CELL_PX}" height="{n * CELL_PX}" '
+               'fill="none" stroke="#000000" stroke-width="1"/>\n</g>\n')
+    return "".join(out)
+
+
+def _svg_pieces(grids, count: int, side: int, columns: int):
+    """The SVG document for `count` grids of at most side x side cells,
+    laid out row-major `columns` per row: the header, one framed
+    <g class="grid"> element per grid, then the footer.
+
+    Raises InternalInconsistencyError when `grids` holds a different number
+    of grids, so a caller that takes `count` from elsewhere gets it checked.
+    """
+    slot = side * CELL_PX + GUTTER_PX
+    width = GUTTER_PX + min(columns, count) * slot
+    height = GUTTER_PX + -(-count // columns) * slot
+    yield ('<?xml version="1.0" encoding="UTF-8"?>\n'
+           f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+           f'height="{height}" viewBox="0 0 {width} {height}">'
+           + ("\n" if count else ""))
+    drawn = 0
+    for grid in grids:
+        yield _svg_grid(grid, GUTTER_PX + drawn % columns * slot,
+                        GUTTER_PX + drawn // columns * slot)
+        drawn += 1
+    if drawn != count:
+        raise InternalInconsistencyError(f"expected {count} grids, got {drawn}")
+    yield "</svg>\n"
 
 
 def render_svg(grids, columns: int = 4) -> str:
@@ -141,37 +143,8 @@ def render_svg(grids, columns: int = 4) -> str:
     if not isinstance(columns, int) or isinstance(columns, bool) or columns < 1:
         raise ValueError(f"columns must be a positive integer, got {columns!r}")
     grids = list(grids)
-    if not grids:
-        return ('<?xml version="1.0" encoding="UTF-8"?>\n'
-                f'<svg xmlns="http://www.w3.org/2000/svg" width="{GUTTER_PX}" '
-                f'height="{GUTTER_PX}" viewBox="0 0 {GUTTER_PX} {GUTTER_PX}"></svg>\n')
-    side = max(g.n for g in grids) * CELL_PX
-    cols_used = min(columns, len(grids))
-    row_count = ceil(len(grids) / columns)
-    width = GUTTER_PX + cols_used * (side + GUTTER_PX)
-    height = GUTTER_PX + row_count * (side + GUTTER_PX)
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>\n',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n',
-    ]
-    for idx, grid in enumerate(grids):
-        x = GUTTER_PX + (idx % columns) * (side + GUTTER_PX)
-        y = GUTTER_PX + (idx // columns) * (side + GUTTER_PX)
-        out.append(f'<g class="grid" transform="translate({x},{y})">\n')
-        for r in range(1, grid.n + 1):
-            for c in range(1, grid.n + 1):
-                fill = _cell_fill(grid.cell(r, c))
-                out.append(
-                    f'<rect x="{(c - 1) * CELL_PX}" y="{(r - 1) * CELL_PX}" '
-                    f'width="{CELL_PX}" height="{CELL_PX}" fill="{fill}" '
-                    'stroke="#cccccc" stroke-width="0.5"/>\n')
-        frame = grid.n * CELL_PX
-        out.append(f'<rect x="0" y="0" width="{frame}" height="{frame}" '
-                   'fill="none" stroke="#000000" stroke-width="1"/>\n')
-        out.append('</g>\n')
-    out.append('</svg>\n')
-    return "".join(out)
+    side = max((g.n for g in grids), default=0)
+    return "".join(_svg_pieces(grids, len(grids), side, columns))
 
 
 def render_ferrers(p: Partition) -> str:

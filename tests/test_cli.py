@@ -1,9 +1,12 @@
+import hashlib
 import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -216,12 +219,16 @@ def first_line_then_close(args, timeout):
     proc = subprocess.Popen([sys.executable, "-m", "segrekit", *args],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=env)
+    # a child that prints nothing would block readline forever
+    deadline = threading.Timer(timeout, proc.kill)
+    deadline.start()
     try:
         line = proc.stdout.readline()
         proc.stdout.close()
         code = proc.wait(timeout=timeout)
         err = proc.stderr.read()
     finally:
+        deadline.cancel()
         proc.kill()
         proc.wait()
         proc.stderr.close()
@@ -299,6 +306,97 @@ def test_render_is_deterministic(tmp_path):
     assert main(["render", "3", "--out", str(a)]) == 0
     assert main(["render", "3", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of `segre render n --format F --columns C` as printed by the
+# renderer that built the whole document in memory before writing it
+RENDER_DIGESTS = {
+    (1, "svg", 1): "49dd8349627bdd18946573b3ae50b81be4e160039177a0929ddf44536761b9bb",
+    (1, "svg", 4): "49dd8349627bdd18946573b3ae50b81be4e160039177a0929ddf44536761b9bb",
+    (1, "ascii", 1): "496c689fcf0e40a9731f69322f0019080505284a965a59f673c6a9c91a53f089",
+    (1, "ascii", 4): "496c689fcf0e40a9731f69322f0019080505284a965a59f673c6a9c91a53f089",
+    (2, "svg", 1): "5d082f6106097d3e8b45faa0b2b75617b880ceedbc330412bd95d91c5929022f",
+    (2, "svg", 4): "3cad2cb5b390e2bb5626267865e983d8d1ac3587b05cf5a1d38c7cfe4c71f3c6",
+    (2, "ascii", 1): "620d00ddd402a3b29fe8308cc5a1beaae1feaf674db07de43fa084cfba6a3e98",
+    (2, "ascii", 4): "620d00ddd402a3b29fe8308cc5a1beaae1feaf674db07de43fa084cfba6a3e98",
+    (3, "svg", 1): "34c5551a5053044a56d8a541cbdd0351ec04d9e4d3eccc21cc009349cdfc81e9",
+    (3, "svg", 4): "ee821ae8e524b1e27ae0d645b7947b24a5427f01db07c7f8acfe262bbe0e4c2c",
+    (3, "ascii", 1): "eb785897479bd44f440c350a77cc8ca4f96e4ff08c3be63a02cbb82d6d38f7ac",
+    (3, "ascii", 4): "eb785897479bd44f440c350a77cc8ca4f96e4ff08c3be63a02cbb82d6d38f7ac",
+    (4, "svg", 1): "a504fb32521b1da50b82bdd7319537d4fd395a990842dfa611041aaed45a8481",
+    (4, "svg", 4): "0c6b1ae559d0e53895cb76d1c09bbe5f124f4af05ec731e577f66c6999caf636",
+    (4, "ascii", 1): "9b130dfb950647a5c9c7bce3024a0e588470c7f5a844cf4559fd20136e8845bb",
+    (4, "ascii", 4): "9b130dfb950647a5c9c7bce3024a0e588470c7f5a844cf4559fd20136e8845bb",
+    (5, "svg", 1): "28eaaf8addb71b58e275689bfad4218b02d4cfee3ff6cda0e625eb6babe29443",
+    (5, "svg", 4): "0c81daac3cec9ea513c3ce16a7dd84af2288ff4561b49a0d32d448dfa63a7404",
+    (5, "ascii", 1): "aa65dcec05c94b4807af69efb2bc62894d28f76efd66ae8b7d8712f865e7f763",
+    (5, "ascii", 4): "aa65dcec05c94b4807af69efb2bc62894d28f76efd66ae8b7d8712f865e7f763",
+    (6, "svg", 1): "91b43c0f1f2203aefd1f5ceb040b8151e983faa9f9aa65afdaeff33e653385d6",
+    (6, "svg", 4): "637b52439b2b41a5e152c88eaca1c368126e5129621b6fd671e404feae2a801c",
+    (6, "ascii", 1): "5f544a35eeba74089216c5374efe066e28387ee4f801d2d941ca171c4fe2597d",
+    (6, "ascii", 4): "5f544a35eeba74089216c5374efe066e28387ee4f801d2d941ca171c4fe2597d",
+    (7, "svg", 1): "06a2d1bd9f83b5093870f239f3b87f32afae3b18f10e5a5645eae0bbe6bdcb09",
+    (7, "svg", 4): "977c6f35aac5cd4d066e8769a158be1f375068cfe277c67a6eee11b2ac04a4a8",
+    (7, "ascii", 1): "eb0c1d50e48f21572d419ce5a11ac3f650ac75d3fdbedb2539a8c8d4a29c9dcc",
+    (7, "ascii", 4): "eb0c1d50e48f21572d419ce5a11ac3f650ac75d3fdbedb2539a8c8d4a29c9dcc",
+    (8, "svg", 1): "391fb51a8e87e8634a992877512cb826317d8ffb8738327239562702b480c1ab",
+    (8, "svg", 4): "c58a4d05f657353c41650c0b608d111aa40c03b85c634674764a3f6b3afe0455",
+    (8, "ascii", 1): "795b7821e7dca753205799c4bd463f6210c86a0e53642163c5bae0dbdf8a2c9d",
+    (8, "ascii", 4): "795b7821e7dca753205799c4bd463f6210c86a0e53642163c5bae0dbdf8a2c9d",
+    (9, "svg", 1): "468adb48e81849b229a5740a3cb5b9229a1ed9ea0a499f484f98341ac56b24cc",
+    (9, "svg", 4): "49e8c06bedddbc9fb7e9db6e0b041e2b4a62974bf1e0ffb84ebc294540c63d36",
+    (9, "ascii", 1): "a7cc7e6e61c80bfac31d22029cdeb8b0e266cb4784237985dae5a8920eef63e3",
+    (9, "ascii", 4): "a7cc7e6e61c80bfac31d22029cdeb8b0e266cb4784237985dae5a8920eef63e3",
+}
+RENDER_12_DIGEST = "267a3d7b6031d2af29c3fcab674436ffe88e474b6c593175f4ceae98d8faa125"
+
+
+def test_render_output_matches_goldens(tmp_path):
+    out_path = tmp_path / "out"
+    for (n, fmt, columns), digest in RENDER_DIGESTS.items():
+        argv = ["render", str(n), "--format", fmt, "--columns", str(columns)]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv
+        assert main(argv + ["--out", str(out_path)]) == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, argv
+
+
+def test_render_streams_its_first_line():
+    # 71,832,114 grids of 30 x 30 cells: only a streaming render can print
+    # the first line at once, and a closed pipe must still end it quietly
+    assert first_line_then_close(["render", "30"], 5) == (
+        b'<?xml version="1.0" encoding="UTF-8"?>\n', 0, b"")
+    assert first_line_then_close(["render", "30", "--format", "ascii"], 5) == (
+        b"[(30)]\n", 0, b"")
+
+
+def test_render_runs_in_bounded_memory():
+    # render 12 writes 40 MB of SVG; built in memory first, its grids and
+    # text need more than the 100 MB of address space allowed here
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (100 * 2**20, 100 * 2**20))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "segrekit", "render", "12"],
+                          env=env, capture_output=True, timeout=120,
+                          preexec_fn=limit_address_space)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert hashlib.sha256(done.stdout).hexdigest() == RENDER_12_DIGEST
+
+
+def test_weight_is_capped():
+    # count_segre_gf allocates n + 1 integers before any work, and the SVG
+    # header of render needs that count too
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in (["count", "999999999999"], ["count", "10001", "--method", "sum"],
+                 ["render", "999999999999"], ["render", "10001", "--format", "ascii"]):
+        done = subprocess.run([sys.executable, "-m", "segrekit", *argv],
+                              env=env, capture_output=True, text=True, timeout=5)
+        assert done.returncode == 2, argv
+        assert done.stdout == "" and "Traceback" not in done.stderr, argv
+        assert done.stderr == "error: n exceeds the limit of 10000\n", argv
 
 
 def test_rankpattern(capsys):

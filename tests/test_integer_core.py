@@ -134,7 +134,7 @@ def test_exactness_checks_survive_python_O():
         from segrekit import InternalInconsistencyError, linalg, segre
         assert False, "asserts must be stripped"
         cases = [
-            lambda: linalg._deflate([1, 0, 1], 1, 2),
+            lambda: linalg._deflate([1, 0, 1], 1),
             lambda: linalg._int_char_poly([[Fraction(1, 2), 0],
                                            [0, Fraction(1, 2)]]),
             lambda: linalg._int_rank([[2, 1, 0], [1, 2, 1],

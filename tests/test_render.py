@@ -2,10 +2,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from segrekit import (ONE_CELL, JordanSpec, Partition, SegreCharacteristic,
-                      StructureGrid, enumerate_segre, grid_of, render_ascii,
-                      render_ferrers, render_ferrers_conjugate_pair,
-                      render_svg)
+from segrekit import (InternalInconsistencyError, JordanSpec, Partition,
+                      SegreCharacteristic, StructureGrid, enumerate_segre,
+                      grid_of, render_ascii, render_ferrers,
+                      render_ferrers_conjugate_pair, render_svg)
+from segrekit.render import _svg_pieces
 
 
 def spec_of(groups):
@@ -15,34 +16,37 @@ def spec_of(groups):
 def test_grid_of_single_block():
     g = grid_of(spec_of([[2]]))
     assert g.n == 2
-    assert g.cells == {(1, 1): 1, (2, 2): 1, (1, 2): ONE_CELL}
+    assert g.runs == ((2, 1),)
     assert g.group_count == 1
+    assert render_ascii(g) == "a1\n.a"
 
 
 def test_grid_of_worked_example():
     g = grid_of(spec_of([[2, 1], [3], [1], [2, 1]]))
     assert g.n == 10
-    ones = {pos for pos, v in g.cells.items() if v == ONE_CELL}
-    assert ones == {(1, 2), (4, 5), (5, 6), (8, 9)}
-    diag_groups = [g.cell(i, i) for i in range(1, 11)]
-    assert diag_groups == [1, 1, 1, 2, 2, 2, 3, 4, 4, 4]
+    # one (size, group) run per block in diagonal order: the diagonal groups
+    # are 1,1,1,2,2,2,3,4,4,4 and the 1s sit at (1,2), (4,5), (5,6), (8,9)
+    assert g.runs == ((2, 1), (1, 1), (3, 2), (1, 3), (2, 4), (1, 4))
     assert g.group_count == 4
+    assert render_ascii(g) == ("a1........\n"
+                               ".a........\n"
+                               "..a.......\n"
+                               "...b1.....\n"
+                               "....b1....\n"
+                               ".....b....\n"
+                               "......c...\n"
+                               ".......d1.\n"
+                               "........d.\n"
+                               ".........d")
+    assert g == StructureGrid([[2, 1], [1, 1], [3, 2], [1, 3], [2, 4], [1, 4]])
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        StructureGrid(0, {})
-    with pytest.raises(ValueError):
-        StructureGrid(2, {(1, 1): ONE_CELL})  # 1-cell off the superdiagonal
-    with pytest.raises(ValueError):
-        StructureGrid(2, {(1, 2): 1})  # eigenvalue cell off the diagonal
-    with pytest.raises(ValueError):
-        StructureGrid(2, {(3, 3): 1})  # out of range
-    with pytest.raises(ValueError):
-        StructureGrid(2, {(1, 1): -1})
-    empty = StructureGrid(3, {})
-    assert empty.group_count == 0
-    assert empty.cell(1, 1) is None
+    for runs in ((), ((0, 1),), ((2, 0),), ((-1, 1),), ((1, 1), (2, -3)),
+                 ((True, 1),), ((1.0, 1),), (("2", 1),)):
+        with pytest.raises(ValueError):
+            StructureGrid(runs)
+    assert StructureGrid(((1, 7),)).group_count == 7
 
 
 def test_ascii_goldens():
@@ -121,6 +125,16 @@ def test_svg_empty_input():
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" width="8" height="8" '
         'viewBox="0 0 8 8"></svg>\n')
+
+
+def test_svg_pieces_check_the_grid_count():
+    grids = [grid_of(JordanSpec.positional(s)) for s in enumerate_segre(3)]
+    pieces = list(_svg_pieces(grids, 6, 3, 4))
+    assert len(pieces) == 1 + 6 + 1
+    assert "".join(pieces) == render_svg(grids)
+    for count in (5, 7):
+        with pytest.raises(InternalInconsistencyError):
+            list(_svg_pieces(grids, count, 3, 4))
 
 
 def test_svg_rejects_bad_columns():
