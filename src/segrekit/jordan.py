@@ -136,20 +136,32 @@ def build_jordan(spec: JordanSpec) -> ExactMatrix:
     return ExactMatrix.from_rows(entries)
 
 
-def _rank_pattern(b: list[list[int]], mu: int) -> list[int]:
+def _rank_pattern(b: list[list[int]], mu: int, m: int) -> list[int]:
     """Ranks of (b - mu*I)^k for an integer matrix b, k = 0, 1, ... until
-    they stabilize."""
+    the nullity n - r reaches m or the rank repeats.
+
+    With m the algebraic multiplicity of mu, the nullity of the powers
+    grows to m and stays there, so stopping at m saves the power and the
+    rank that would only confirm it; m = n stops at rank 0 or at a repeat,
+    which is the whole stabilized pattern.  The pattern stays a check on m:
+    if m overstates the multiplicity, the ranks repeat before the nullity
+    reaches m, so the blocks sum to less than m; if m understates it, then,
+    as the multiplicities of a rational spectrum sum to n, another
+    eigenvalue's m is overstated.  Either way some eigenvalue's blocks miss
+    its m, and analyze raises.
+    """
     shifted = [list(row) for row in b]
     for i, row in enumerate(shifted):
         row[i] -= mu
-    ranks = [len(b)]
+    n = len(b)
+    ranks = [n]
     power = shifted
     while True:
         r = _int_rank(power)
         if r == ranks[-1]:
             break
         ranks.append(r)
-        if r == 0:
+        if n - r >= m:
             break
         power = _int_mat_mul(power, shifted)
     return ranks
@@ -163,7 +175,8 @@ def rank_pattern_of(a: ExactMatrix, lam) -> RankPattern:
     """
     if not a.is_square:
         raise ValueError("rank patterns require a square matrix")
-    return RankPattern(a.rows, _rank_pattern(_scaled_rows(shift(a, lam))[0], 0))
+    n = a.rows
+    return RankPattern(n, _rank_pattern(_scaled_rows(shift(a, lam))[0], 0, n))
 
 
 def analyze(a: ExactMatrix) -> AnalysisReport:
@@ -173,12 +186,12 @@ def analyze(a: ExactMatrix) -> AnalysisReport:
     polynomial is monic, so its rational roots mu = d*lam are integers, and
     rank((B - mu*I)^k) = rank((a - lam*I)^k); everything up to the reported
     eigenvalues mu/d is integer arithmetic.  Sweeps the eigenvalues in
-    ascending order, measures each rank pattern with exact elimination,
-    converts to block sizes, and cross-checks the blocks against the
-    algebraic multiplicity from the characteristic polynomial.  Raises
-    IrrationalEigenvalueError when the spectrum is not rational and
-    InternalInconsistencyError if the cross-check ever fails (which would
-    mean a bug in the arithmetic).
+    ascending order, measures each rank pattern with exact elimination up
+    to the algebraic multiplicity from the characteristic polynomial,
+    converts to block sizes, and cross-checks the blocks against that
+    multiplicity.  Raises IrrationalEigenvalueError when the spectrum is
+    not rational and InternalInconsistencyError if the cross-check ever
+    fails (which would mean a bug in the arithmetic).
     """
     if not a.is_square:
         raise ValueError("analysis requires a square matrix")
@@ -191,7 +204,7 @@ def analyze(a: ExactMatrix) -> AnalysisReport:
     groups = []
     for mu, _, multiplicity in sorted(roots):  # monic: every root is an integer
         lam = Fraction(mu, d)
-        pattern = RankPattern(n, _rank_pattern(b, mu))
+        pattern = RankPattern(n, _rank_pattern(b, mu, multiplicity))
         blocks = blocks_from_rank_pattern(pattern)
         if blocks.weight != multiplicity:
             raise InternalInconsistencyError(

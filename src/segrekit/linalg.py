@@ -6,20 +6,22 @@ itself is done by an integer core: a matrix is scaled once to d*A, with d
 the lcm of its entry denominators, and from then on every kernel runs on
 lists of rows of Python ints.  Products take inner products with
 sum(map(mul, row, col)), ranks come from fraction-free Bareiss
-elimination, and characteristic polynomials from the Faddeev-LeVerrier
-recurrence with exact integer division.  Rational roots are integer roots
-of a monic polynomial (after y = a_n*x when the input is not monic); they
-are isolated by bisection over the integers with the Sturm chain of the
-square-free part, built from primitive pseudo-remainders, so the time is
-polynomial in the bit size of the coefficients, and each root's
-multiplicity comes from exact synthetic division.  Every exactness the
-integer arithmetic relies on is checked, and a failed check raises
+elimination, and characteristic polynomials from a Hessenberg reduction
+modulo primes just below 2**62, combined by the Chinese remainder theorem
+up to a Hadamard-type bound on the coefficients.  Rational roots are
+integer roots of a monic polynomial (after y = a_n*x when the input is not
+monic); they are isolated by bisection over the integers with the Sturm
+chain of the square-free part, built from primitive pseudo-remainders, so
+the time is polynomial in the bit size of the coefficients, and each
+root's multiplicity comes from exact synthetic division.  Every exactness
+the integer arithmetic relies on is checked, and a failed check raises
 InternalInconsistencyError, which python -O does not remove.  The public
 functions taking an ExactMatrix are thin wrappers over these kernels.
 """
 
 import math
 import re
+import threading
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
@@ -252,27 +254,134 @@ def _int_rank(rows: list[list[int]]) -> int:
     return r
 
 
+# The largest primes below 2**62, descending.  Only ever extended, and only
+# under _PRIMES_LOCK, so a reader that sees len(_PRIMES) > i can index it
+# unlocked.  The first eight are written out, because finding them by
+# Miller-Rabin takes about 2 ms per process, as long as a whole 16 x 16
+# characteristic polynomial; the tests find them again.
+_PRIMES: list[int] = [2 ** 62 - d
+                      for d in (57, 87, 117, 143, 153, 167, 171, 195)]
+_PRIMES_LOCK = threading.Lock()
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 12 primes as bases, which is proven
+    deterministic for n < 3.18*10**23 (Sorenson and Webster 2015), far above
+    every candidate here."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(i: int) -> int:
+    """The (i+1)-th largest prime below 2**62: 2**62 - 57 for i = 0."""
+    if i >= len(_PRIMES):
+        with _PRIMES_LOCK:
+            c = _PRIMES[-1] if _PRIMES else 2 ** 62 + 1
+            while len(_PRIMES) <= i:
+                c -= 2
+                if _is_prime(c):
+                    _PRIMES.append(c)
+    return _PRIMES[i]
+
+
+def _char_poly_mod(b: list[list[int]], p: int) -> list[int]:
+    """Coefficients of det(xI - b) mod p, lowest degree first, in [0, p).
+
+    b is reduced mod p to upper Hessenberg form H by similarity: for each
+    column m-1 a pivot at or below the subdiagonal is swapped into row m
+    (rows and columns together), the entries below it are cleared by row
+    operations, and the inverse column operations go into column m.  A column
+    already zero from the subdiagonal down is skipped.  Then p_0 = 1 and
+    p_{m+1} = (x - h_mm) p_m - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_i
+    gives p_n = det(xI - H) (Cohen, GTM 138, Alg. 2.2.9).
+    """
+    n = len(b)
+    h = [[x % p for x in row] for row in b]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        inv = pow(h[m][m - 1], -1, p)
+        top = h[m][m - 1:]
+        us = [0] * (n - m - 1)
+        for i in range(m + 1, n):
+            row = h[i]
+            if row[m - 1]:
+                u = us[i - m - 1] = row[m - 1] * inv % p
+                row[m - 1:] = [(x - u * y) % p for x, y in zip(row[m - 1:], top)]
+        if any(us):
+            for row in h:
+                row[m] = (row[m] + sum(map(mul, us, row[m + 1:]))) % p
+    polys = [[1]]
+    for m in range(n):
+        last = polys[-1]
+        c = h[m][m]
+        new = [-c * last[0]] + [x - c * y for x, y in zip(last, last[1:])] + [1]
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            c = h[i][m] * t
+            if c:
+                new[:i + 1] = [x - c * y for x, y in zip(new, polys[i])]
+        polys.append([x % p for x in new])
+    return polys[n]
+
+
 def _int_char_poly(b: list[list[int]]) -> list[int]:
     """Coefficients of det(xI - b), lowest degree first, for a square integer
-    matrix b, by the Faddeev-LeVerrier recurrence: M_1 = b, c_{n-1} =
-    -tr(M_1), M_k = b(M_{k-1} + c_{n-k+1} I), c_{n-k} = -tr(M_k)/k.  Every
-    division by k is exact over the integers."""
+    matrix b: the coefficients mod the primes _prime(0), _prime(1), ... are
+    combined by the Chinese remainder theorem with symmetric residues (von
+    zur Gathen and Gerhard, Modern Computer Algebra, ch. 5) until the modulus
+    exceeds 2 * prod_i (1 + ceil(|row_i(b)|_2)).  That is more than twice
+    every |c_{n-k}|: c_{n-k} is a signed sum of the k x k principal minors,
+    Hadamard bounds the minor on rows S by prod_{i in S} |row_i|, and those
+    products sum to the k-th elementary symmetric function of the row norms,
+    one of the nonnegative terms of prod_i (1 + |row_i|).
+    """
     n = len(b)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    mk = b
-    coeffs[n - 1] = -sum(b[i][i] for i in range(n))
-    for k in range(2, n + 1):
-        c = coeffs[n - k + 1]
-        shifted = [list(row) for row in mk]
-        for i in range(n):
-            shifted[i][i] += c
-        mk = _int_mat_mul(b, shifted)
-        q, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
-        if rem:
-            raise InternalInconsistencyError(
-                "Faddeev-LeVerrier on an integer matrix must give integers")
-        coeffs[n - k] = q
+    bound = 2
+    for row in b:
+        s = sum(x * x for x in row)
+        if s:
+            bound *= math.isqrt(s - 1) + 2  # 1 + ceil(sqrt(s))
+    coeffs, modulus, i = [0] * (n + 1), 1, 0
+    while modulus <= bound:
+        p = _prime(i)
+        i += 1
+        inv = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((r - c) * inv % p)
+                  for c, r in zip(coeffs, _char_poly_mod(b, p))]
+        modulus *= p
+    half = modulus // 2
+    coeffs = [c - modulus if c > half else c for c in coeffs]
+    if coeffs[n - 1] != -sum(row[k] for k, row in enumerate(b)):
+        raise InternalInconsistencyError(
+            "characteristic polynomial must have c_{n-1} = -trace")
     return coeffs
 
 
@@ -350,7 +459,9 @@ def char_poly(a: ExactMatrix) -> PolynomialZ:
     denominators cleared (d = 1 for integer matrices, so then it is the
     characteristic polynomial of a itself).
 
-    The result is monic with integer coefficients (Faddeev-LeVerrier on B).
+    The result is monic with integer coefficients: the characteristic
+    polynomial of B mod several primes, from its Hessenberg form, combined
+    by the Chinese remainder theorem.
     Roots of the result are d times the eigenvalues of a;
     rational_eigenvalues performs the unscaling.
     """

@@ -4,8 +4,10 @@ Deliberately written with different algorithms than the package: recursive
 partition enumeration instead of the iterative generator, a coin-change
 table instead of Euler's pentagonal recurrence, division-based Gaussian
 elimination over Fraction instead of fraction-free Bareiss on integers,
-polynomial convolution and interpolation of determinants instead of
-Faddeev-LeVerrier, Fraction arithmetic throughout instead of one
+polynomial convolution and interpolation of determinants, and the
+Faddeev-LeVerrier recurrence over the integers, instead of Hessenberg
+reduction modulo primes and the Chinese remainder theorem, trial division
+instead of Miller-Rabin, Fraction arithmetic throughout instead of one
 denominator-clearing scale, the rational root theorem's divisor candidates
 instead of Sturm bisection, brute-force multiset collection instead of
 generating-function or recursive counting, deduplication and a global sort
@@ -208,6 +210,34 @@ def char_poly_by_interpolation(rows):
         for i, c in enumerate(basis):
             coeffs[i] += values[j] * c / denom
     return coeffs
+
+
+def faddeev_leverrier_char_poly(b):
+    """Coefficients of det(xI - b), lowest degree first, for a square integer
+    matrix b, by the Faddeev-LeVerrier recurrence: M_1 = b, c_{n-1} =
+    -tr(M_1), M_k = b(M_{k-1} + c_{n-k+1} I), c_{n-k} = -tr(M_k)/k.  Every
+    division by k is exact over the integers, and is checked."""
+    n = len(b)
+    coeffs = [0] * n + [1]
+    mk = b
+    coeffs[n - 1] = -sum(b[i][i] for i in range(n))
+    for k in range(2, n + 1):
+        c = coeffs[n - k + 1]
+        shifted = [[x + c if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(mk)]
+        shifted_cols = list(zip(*shifted))
+        mk = [[sum(x * y for x, y in zip(row, col)) for col in shifted_cols]
+              for row in b]
+        q, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError("Faddeev-LeVerrier must divide exactly")
+        coeffs[n - k] = q
+    return coeffs
+
+
+def is_prime_by_trial_division(n):
+    """Whether n is prime, by testing every divisor up to sqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def fraction_rational_roots(coeffs):

@@ -135,13 +135,16 @@ def test_exactness_checks_survive_python_O():
         assert False, "asserts must be stripped"
         cases = [
             lambda: linalg._deflate([1, 0, 1], 1),
-            lambda: linalg._int_char_poly([[Fraction(1, 2), 0],
-                                           [0, Fraction(1, 2)]]),
+            lambda: linalg._int_char_poly([[1, 2], [3, 4]]),
             lambda: linalg._int_rank([[2, 1, 0], [1, 2, 1],
                                       [Fraction(1, 3), 1, 2]]),
             lambda: linalg._rational_roots([1, 1]),
             lambda: segre.count_segre_gf(3),
         ]
+        # residues whose c_{n-1} disagrees with the trace
+        residues = linalg._char_poly_mod
+        linalg._char_poly_mod = lambda b, p: [
+            (c + (k == len(b) - 1)) % p for k, c in enumerate(residues(b, p))]
         # a root search that reports 2 as a root of x + 1
         linalg._integer_roots = lambda f: [2]
         # partition numbers that make the Euler-transform division inexact

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from segrekit import jordan
 from segrekit import (ExactMatrix, InternalInconsistencyError,
                       IrrationalEigenvalueError, JordanSpec, Partition,
                       RankPattern, SegreCharacteristic, analyze, build_jordan,
@@ -189,3 +190,22 @@ def test_internal_inconsistency_is_runtime_error():
     # never raised through the public API on valid input; the class exists
     # so arithmetic bugs surface loudly instead of as wrong answers
     assert issubclass(InternalInconsistencyError, RuntimeError)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 2]],  # eigenvalue 1 overshoots m = 1
+    [[1, 1, 0], [0, 1, 0], [0, 0, 2]],  # 1 meets m = 1; 2 misses m = 2
+])
+def test_stop_at_multiplicity_keeps_the_cross_check(monkeypatch, rows):
+    a = ExactMatrix.from_rows(rows)
+    analyze(a)
+    # (x - 1)(x - 2)^2, where the truth is (x - 1)^2 (x - 2)
+    monkeypatch.setattr(jordan, "_int_char_poly", lambda b: [-4, 8, -5, 1])
+    with pytest.raises(InternalInconsistencyError):
+        analyze(a)
+
+
+def test_rank_pattern_of_runs_to_stabilization():
+    a = build_jordan(JordanSpec(SegreCharacteristic([[5, 2]]), [0]))
+    assert rank_pattern_of(a, 0).ranks == (7, 5, 3, 2, 1, 0)
+    assert rank_pattern_of(a, 1).ranks == (7,)
