@@ -3,14 +3,17 @@ of the characteristic from an arbitrary rational matrix.
 
 analyze() inverts build_jordan() up to similarity: characteristic
 polynomial -> rational eigenvalues -> rank pattern per eigenvalue ->
-block sizes -> canonical Segre characteristic.
+block sizes -> canonical Segre characteristic.  A rank pattern comes
+from one recorded elimination of N = B - mu*I and a ladder of kernels of
+the powers of N, with one replay and one back-substitution per vector;
+no power of N is ever formed.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (ExactMatrix, InternalInconsistencyError, shift,
-                     _as_fraction, _int_char_poly, _int_mat_mul, _int_rank,
+                     _as_fraction, _Elimination, _int_char_poly,
                      _rational_roots, _scaled_rows)
 from .partitions import Partition
 from .rank_analysis import RankPattern, blocks_from_rank_pattern
@@ -140,30 +143,61 @@ def _rank_pattern(b: list[list[int]], mu: int, m: int) -> list[int]:
     """Ranks of (b - mu*I)^k for an integer matrix b, k = 0, 1, ... until
     the nullity n - r reaches m or the rank repeats.
 
-    With m the algebraic multiplicity of mu, the nullity of the powers
-    grows to m and stays there, so stopping at m saves the power and the
-    rank that would only confirm it; m = n stops at rank 0 or at a repeat,
-    which is the whole stabilized pattern.  The pattern stays a check on m:
-    if m overstates the multiplicity, the ranks repeat before the nullity
-    reaches m, so the blocks sum to less than m; if m understates it, then,
-    as the multiplicities of a rational spectrum sum to n, another
-    eigenvalue's m is overstated.  Either way some eigenvalue's blocks miss
-    its m, and analyze raises.
+    One recorded elimination of N = b - mu*I gives r_1 and a basis of
+    ker N; after it no power of N is formed.  The kernels V_k = ker N^k are
+    climbed as a ladder: V_{k+1} is V_k plus one preimage under N of each
+    new direction of V_k inside im N.  Each vector of level k is replayed
+    once through the elimination, and its residual is reduced against the
+    residuals of the vectors before it by integer row operations on whole
+    replays.  A residual that reduces to zero marks an integer combination
+    u of those vectors that lies in im N, and the top that comes with it is
+    the top of u's replay, which back-substitution turns into a vector of
+    level k + 1.  So the increment q_{k+1} of the nullity is the number of
+    level-k residuals that reduce to zero; each vector is solved once and
+    replayed once, and a pattern costs O(n^3 + m*n^2) instead of one
+    product and one elimination per power.  Every nullity is counted this
+    way, never inferred from m, and an increment that grows raises
+    InternalInconsistencyError.
+
+    With m the algebraic multiplicity of mu, the nullity grows to m and
+    stays there, so stopping at m saves the level that would only confirm
+    it; m = n stops at rank 0 or at a repeat, which is the whole stabilized
+    pattern.  The pattern stays a check on m: if m overstates the
+    multiplicity, the ranks repeat before the nullity reaches m, so the
+    blocks sum to less than m; if m understates it, then, as the
+    multiplicities of a rational spectrum sum to n, another eigenvalue's m
+    is overstated.  Either way some eigenvalue's blocks miss its m, and
+    analyze raises.
     """
     shifted = [list(row) for row in b]
     for i, row in enumerate(shifted):
         row[i] -= mu
     n = len(b)
-    ranks = [n]
-    power = shifted
-    while True:
-        r = _int_rank(power)
-        if r == ranks[-1]:
-            break
-        ranks.append(r)
-        if n - r >= m:
-            break
-        power = _int_mat_mul(power, shifted)
+    e = _Elimination(shifted)
+    d = q = d1 = n - e.rank
+    ranks = [n, e.rank] if d else [n]
+    level = e.kernel() if d < m else []
+    found = []  # (pivot, row): reduced replays [residual | top]
+    while level:
+        tops = []
+        for v in level:
+            row = e.replay(v)
+            for p, other in found:
+                if row[p]:
+                    a, c = other[p], row[p]
+                    row = [a * x - c * y for x, y in zip(row, other)]
+            if any(row[:d1]):
+                found.append((row.index(next(filter(None, row))), row))
+            else:
+                tops.append(row[d1:])
+        if len(tops) > q:
+            raise InternalInconsistencyError(
+                f"nullity increment grew from {q} to {len(tops)}")
+        q = len(tops)
+        if q:
+            d += q
+            ranks.append(n - d)
+        level = [e.preimage(top) for top in tops] if d < m else []
     return ranks
 
 
@@ -186,8 +220,9 @@ def analyze(a: ExactMatrix) -> AnalysisReport:
     polynomial is monic, so its rational roots mu = d*lam are integers, and
     rank((B - mu*I)^k) = rank((a - lam*I)^k); everything up to the reported
     eigenvalues mu/d is integer arithmetic.  Sweeps the eigenvalues in
-    ascending order, measures each rank pattern with exact elimination up
-    to the algebraic multiplicity from the characteristic polynomial,
+    ascending order, measures each rank pattern up to the algebraic
+    multiplicity from the characteristic polynomial with one recorded
+    elimination of B - mu*I and a ladder of kernels (_rank_pattern),
     converts to block sizes, and cross-checks the blocks against that
     multiplicity.  Raises IrrationalEigenvalueError when the spectrum is
     not rational and InternalInconsistencyError if the cross-check ever

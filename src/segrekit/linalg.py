@@ -5,8 +5,10 @@ output, holds fractions.Fraction entries (always lowest terms).  The work
 itself is done by an integer core: a matrix is scaled once to d*A, with d
 the lcm of its entry denominators, and from then on every kernel runs on
 lists of rows of Python ints.  Products take inner products with
-sum(map(mul, row, col)), ranks come from fraction-free Bareiss
-elimination, and characteristic polynomials from a Hessenberg reduction
+sum(map(mul, row, col)).  Ranks come from fraction-free Bareiss
+elimination, recorded so that its row operations can be replayed on more
+columns and its echelon back-substituted, which jordan's rank patterns
+use; characteristic polynomials come from a Hessenberg reduction
 modulo primes just below 2**62, combined by the Chinese remainder theorem
 up to a Hadamard-type bound on the coefficients.  Rational roots are
 integer roots of a monic polynomial (after y = a_n*x when the input is not
@@ -24,7 +26,7 @@ import re
 import threading
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -190,7 +192,7 @@ def shift(a: ExactMatrix, lam) -> ExactMatrix:
 def rank(a: ExactMatrix) -> int:
     """Exact rank: fraction-free (Bareiss) elimination of d*a, which has
     the rank of a."""
-    return _int_rank(_scaled_rows(a)[0])
+    return _Elimination(_scaled_rows(a)[0]).rank
 
 
 # ---------------------------------------------------------------------------
@@ -214,44 +216,132 @@ def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _int_rank(rows: list[list[int]]) -> int:
-    """Rank by fraction-free (Bareiss) elimination; `rows` is not modified.
+_first = itemgetter(0)
+
+
+class _Elimination:
+    """Fraction-free (Bareiss) elimination of an integer matrix N, recorded
+    so that its row operations T can be replayed on other columns.
 
     Each step eliminates the first column of the active block against the
     first row with a nonzero entry there and divides by the previous pivot,
     which Sylvester's determinant identity makes exact, so entries stay
-    integers no larger than minors of the input.  Rows that become zero
-    leave the active block.
+    integers no larger than minors of the input; rows that become zero
+    leave the active block.  T is invertible, and T*N is the echelon U of
+    the pivot rows over zero rows.  So for a column v, T*v splits into its
+    top (the pivot rows) and its residual (the rest), and the residual is
+    zero exactly when v lies in the column space im N.  The replay is the
+    elimination of N with v appended as a column that is never a pivot, so
+    its divisions are Bareiss divisions too.  The last pivot D is the r x r
+    minor of N on the pivot rows and columns, so by Cramer's rule
+    back-substitution on U with right side D*(top of T*u), u an integer
+    column in im N, stays integral.  Every division is checked.
     """
-    active = [row for row in rows if any(row)]
-    r = 0
-    prev = 1
-    while active and active[0]:
-        at = next((i for i, row in enumerate(active) if row[0]), None)
-        if at is None:
-            active = [row[1:] for row in active]
-            continue
-        pivot_row = active.pop(at)
-        piv = pivot_row[0]
-        tail = pivot_row[1:]
-        r += 1
-        nxt = []
-        for row in active:
-            head = row[0]
-            vals = [x * piv - head * y for x, y in zip(row[1:], tail)]
-            if prev != 1:
-                quots = [v // prev for v in vals]
-                # floor remainders share the divisor's sign, so they sum to
-                # zero only when every one of them is zero
-                if sum(vals) != prev * sum(quots):
+
+    __slots__ = ("rank", "_width", "_zero", "_steps")
+
+    def __init__(self, rows: list[list[int]]):
+        self._width = len(rows[0])
+        active = [row for row in rows if any(row)]
+        self._zero = [] if len(active) == len(rows) else [
+            i for i, row in enumerate(rows) if not any(row)]
+        # per step: the pivot's position among the active rows, U's row from
+        # the pivot column on, the heads of the other active rows, and the
+        # positions of the rows that became zero (None for none)
+        steps = self._steps = []
+        prev = 1
+        while active and active[0]:
+            heads = list(map(_first, active))
+            if not any(heads):
+                active = [row[1:] for row in active]
+                continue
+            at = heads.index(next(filter(None, heads)))
+            piv = heads.pop(at)
+            pivot_row = active.pop(at)
+            tail = pivot_row[1:]
+            tail_sum = sum(tail)
+            nxt, dropped = [], None
+            for row, head in zip(active, heads):
+                if prev == 1:
+                    vals = [x * piv - head * y for x, y in zip(row[1:], tail)]
+                else:
+                    vals = [(x * piv - head * y) // prev
+                            for x, y in zip(row[1:], tail)]
+                    # the numerators sum to piv*sum(row[1:]) - head*sum(tail);
+                    # floor remainders share the divisor's sign, so the
+                    # quotients sum to that over prev only if all are exact
+                    if (prev * sum(vals)
+                            != piv * (sum(row) - head) - head * tail_sum):
+                        raise InternalInconsistencyError(
+                            "Bareiss division must be exact")
+                if any(vals):
+                    nxt.append(vals)
+                elif dropped is None:
+                    dropped = [len(nxt)]
+                else:
+                    dropped.append(len(nxt) + len(dropped))
+            steps.append((at, pivot_row, heads, dropped))
+            active = nxt
+            prev = piv
+        self.rank = len(steps)
+
+    def replay(self, v: list[int]) -> list[int]:
+        """T*v for an integer column v, not modified, as its residual (the
+        rows without a pivot, n - r of them) followed by its top (the pivot
+        rows, in pivot order)."""
+        x, top, residual = list(v), [], []
+        for i in reversed(self._zero):
+            residual.append(x.pop(i))
+        prev = 1
+        for at, pivot_row, heads, dropped in self._steps:
+            piv = pivot_row[0]
+            xp = x.pop(at)
+            top.append(xp)
+            if prev == 1:
+                x = [piv * y - h * xp for y, h in zip(x, heads)]
+            else:
+                total = piv * sum(x) - xp * sum(heads)
+                x = [(piv * y - h * xp) // prev for y, h in zip(x, heads)]
+                if prev * sum(x) != total:  # as in the elimination
                     raise InternalInconsistencyError(
                         "Bareiss division must be exact")
-                vals = quots
-            if any(vals):
-                nxt.append(vals)
-        active = nxt
-        prev = piv
-    return r
+            if dropped:
+                for i in reversed(dropped):
+                    residual.append(x.pop(i))
+            prev = piv
+        return residual + x + top
+
+    def _solve(self, x: list[int], rhs: list[int]) -> list[int]:
+        """x, whose free entries are set, with its pivot entries filled in
+        so that U*x = rhs, made primitive."""
+        for (_, row, _, _), b in zip(reversed(self._steps), reversed(rhs)):
+            c = self._width - len(row)
+            q, rem = divmod(b - sum(map(mul, row[1:], x[c + 1:])), row[0])
+            if rem:
+                raise InternalInconsistencyError(
+                    "back-substitution must divide exactly")
+            x[c] = q
+        return _primitive(x)
+
+    def kernel(self) -> list[list[int]]:
+        """A basis of ker N: for each free column f, the primitive multiple
+        of the solution of U*x = 0 with x_f = D and the other free entries
+        0."""
+        d = self._steps[-1][1][0] if self._steps else 1
+        pivots = {self._width - len(step[1]) for step in self._steps}
+        basis = []
+        for f in range(self._width):
+            if f not in pivots:
+                x = [0] * self._width
+                x[f] = d
+                basis.append(self._solve(x, [0] * self.rank))
+        return basis
+
+    def preimage(self, top: list[int]) -> list[int]:
+        """A primitive integer w with N*w a nonzero multiple of u, given the
+        top of T*u for a nonzero integer column u in im N."""
+        d = self._steps[-1][1][0]
+        return self._solve([0] * self._width, [d * y for y in top])
 
 
 # The largest primes below 2**62, descending.  Only ever extended, and only

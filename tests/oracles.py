@@ -4,6 +4,8 @@ Deliberately written with different algorithms than the package: recursive
 partition enumeration instead of the iterative generator, a coin-change
 table instead of Euler's pentagonal recurrence, division-based Gaussian
 elimination over Fraction instead of fraction-free Bareiss on integers,
+every power of b - mu*I with an unrecorded Bareiss rank of each instead of
+one recorded elimination and a ladder of kernels that back-substitutes,
 polynomial convolution and interpolation of determinants, and the
 Faddeev-LeVerrier recurrence over the integers, instead of Hessenberg
 reduction modulo primes and the Chinese remainder theorem, trial division
@@ -168,6 +170,59 @@ def fraction_rank_pattern(rows, lam):
             break
         power = fraction_mat_mul(power, shifted)
     return tuple(ranks)
+
+
+def bareiss_rank(rows):
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination that
+    keeps no record: each step eliminates the first column of the active
+    block, rows that become zero leave it, and every division by the
+    previous pivot is checked."""
+    active = [row for row in rows if any(row)]
+    r, prev = 0, 1
+    while active and active[0]:
+        at = next((i for i, row in enumerate(active) if row[0]), None)
+        if at is None:
+            active = [row[1:] for row in active]
+            continue
+        pivot_row = active.pop(at)
+        piv, tail = pivot_row[0], pivot_row[1:]
+        r += 1
+        nxt = []
+        for row in active:
+            vals = []
+            for x, y in zip(row[1:], tail):
+                q, rem = divmod(x * piv - row[0] * y, prev)
+                if rem:
+                    raise ArithmeticError("Bareiss division must be exact")
+                vals.append(q)
+            if any(vals):
+                nxt.append(vals)
+        active = nxt
+        prev = piv
+    return r
+
+
+def rank_pattern_by_powers(b, mu, m):
+    """Ranks of (b - mu*I)^k for an integer matrix b, k = 0, 1, ... until
+    the nullity n - r reaches m or the rank repeats: every power of
+    N = b - mu*I is formed by integer products and its rank taken by
+    bareiss_rank."""
+    n = len(b)
+    shifted = [[x - mu if i == j else x for j, x in enumerate(row)]
+               for i, row in enumerate(b)]
+    cols = list(zip(*shifted))
+    ranks = [n]
+    power = shifted
+    while True:
+        r = bareiss_rank(power)
+        if r == ranks[-1]:
+            break
+        ranks.append(r)
+        if n - r >= m:
+            break
+        power = [[sum(x * y for x, y in zip(row, col)) for col in cols]
+                 for row in power]
+    return ranks
 
 
 def fraction_det(rows):

@@ -136,8 +136,10 @@ def test_exactness_checks_survive_python_O():
         cases = [
             lambda: linalg._deflate([1, 0, 1], 1),
             lambda: linalg._int_char_poly([[1, 2], [3, 4]]),
-            lambda: linalg._int_rank([[2, 1, 0], [1, 2, 1],
-                                      [Fraction(1, 3), 1, 2]]),
+            lambda: linalg._Elimination([[2, 1, 0], [1, 2, 1],
+                                         [Fraction(1, 3), 1, 2]]),
+            # [0, 1] is T*u only for u = (0, 1/2), not for an integer u
+            lambda: linalg._Elimination([[2, 1], [1, 2]]).preimage([0, 1]),
             lambda: linalg._rational_roots([1, 1]),
             lambda: segre.count_segre_gf(3),
         ]
@@ -161,4 +163,4 @@ def test_exactness_checks_survive_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["raised"] * 5
+    assert done.stdout.split() == ["raised"] * 6
