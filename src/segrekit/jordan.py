@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (ExactMatrix, InternalInconsistencyError, shift,
-                     _as_fraction, _Elimination, _int_char_poly,
-                     _rational_roots, _scaled_rows)
+                     _as_fraction, _eliminate, _int_char_poly, _kernel,
+                     _preimage, _primitive, _rational_roots, _replay,
+                     _scaled_rows)
 from .partitions import Partition
 from .rank_analysis import RankPattern, blocks_from_rank_pattern
 from .segre import SegreCharacteristic
@@ -149,12 +150,17 @@ def _rank_pattern(b: list[list[int]], mu: int, m: int) -> list[int]:
     new direction of V_k inside im N.  Each vector of level k is replayed
     once through the elimination, and its residual is reduced against the
     residuals of the vectors before it by integer row operations on whole
-    replays.  A residual that reduces to zero marks an integer combination
-    u of those vectors that lies in im N, and the top that comes with it is
-    the top of u's replay, which back-substitution turns into a vector of
-    level k + 1.  So the increment q_{k+1} of the nullity is the number of
-    level-k residuals that reduce to zero; each vector is solved once and
-    replayed once, and a pattern costs O(n^3 + m*n^2) instead of one
+    replays, which carry the coefficients of the combination along; each
+    reduced row is made primitive.  A residual that reduces to zero marks
+    an integer combination u of those vectors that lies in im N, and the
+    top that comes with it is the top of u's replay, which
+    back-substitution turns into a vector of level k + 1.  The content
+    removed includes the coefficients, so u stays an integer vector, and a
+    reduced row is the primitive part of the row that fraction-free
+    (Bareiss) reduction would give, so its entries are no larger than
+    minors of the replays.  So the increment q_{k+1} of the nullity is the
+    number of level-k residuals that reduce to zero; each vector is solved
+    once and replayed once, and a pattern costs O(n^3 + m*n^2) instead of one
     product and one elimination per power.  Every nullity is counted this
     way, never inferred from m, and an increment that grows raises
     InternalInconsistencyError.
@@ -173,23 +179,31 @@ def _rank_pattern(b: list[list[int]], mu: int, m: int) -> list[int]:
     for i, row in enumerate(shifted):
         row[i] -= mu
     n = len(b)
-    e = _Elimination(shifted)
-    d = q = d1 = n - e.rank
-    ranks = [n, e.rank] if d else [n]
-    level = e.kernel() if d < m else []
-    found = []  # (pivot, row): reduced replays [residual | top]
+    steps = _eliminate(shifted)
+    d = q = d1 = n - len(steps)
+    ranks = [n, len(steps)] if d else [n]
+    level = _kernel(steps, n) if d < m else []
+    # (pivot, row): rows [residual | top | coefficients], made primitive,
+    # whose residual stayed nonzero.  `count` vectors have been replayed,
+    # fewer than m, as they are independent and replayed only while the
+    # nullity is below m.
+    found, count = [], 0
     while level:
         tops = []
         for v in level:
-            row = e.replay(v)
+            row = _replay(steps, v) + [0] * m
+            row[n + count] = 1
+            count += 1
             for p, other in found:
-                if row[p]:
-                    a, c = other[p], row[p]
-                    row = [a * x - c * y for x, y in zip(row, other)]
+                c = row[p]
+                if c:
+                    a = other[p]
+                    row = _primitive([a * x - c * y
+                                      for x, y in zip(row, other)])
             if any(row[:d1]):
                 found.append((row.index(next(filter(None, row))), row))
             else:
-                tops.append(row[d1:])
+                tops.append(row[d1:n])
         if len(tops) > q:
             raise InternalInconsistencyError(
                 f"nullity increment grew from {q} to {len(tops)}")
@@ -197,7 +211,7 @@ def _rank_pattern(b: list[list[int]], mu: int, m: int) -> list[int]:
         if q:
             d += q
             ranks.append(n - d)
-        level = [e.preimage(top) for top in tops] if d < m else []
+        level = [_preimage(steps, n, top) for top in tops] if d < m else []
     return ranks
 
 

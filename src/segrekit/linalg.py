@@ -26,7 +26,7 @@ import re
 import threading
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import mul
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -192,7 +192,7 @@ def shift(a: ExactMatrix, lam) -> ExactMatrix:
 def rank(a: ExactMatrix) -> int:
     """Exact rank: fraction-free (Bareiss) elimination of d*a, which has
     the rank of a."""
-    return _Elimination(_scaled_rows(a)[0]).rank
+    return len(_eliminate(_scaled_rows(a)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -216,132 +216,124 @@ def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-_first = itemgetter(0)
-
-
-class _Elimination:
-    """Fraction-free (Bareiss) elimination of an integer matrix N, recorded
-    so that its row operations T can be replayed on other columns.
+def _eliminate(rows: list[list[int]]) -> list[tuple]:
+    """Fraction-free (Bareiss) elimination of an integer matrix N, `rows`
+    not modified, recorded so that its row operations T can be replayed on
+    other columns.  The number of steps is the rank of N.
 
     Each step eliminates the first column of the active block against the
     first row with a nonzero entry there and divides by the previous pivot,
     which Sylvester's determinant identity makes exact, so entries stay
     integers no larger than minors of the input; rows that become zero
-    leave the active block.  T is invertible, and T*N is the echelon U of
+    (zero rows of N at the first step) leave the active block.  A step is
+    (the pivot's position among the active rows, U's row from the pivot
+    column on, the heads of the other active rows, the positions of the
+    rows that became zero).  T is invertible, and T*N is the echelon U of
     the pivot rows over zero rows.  So for a column v, T*v splits into its
     top (the pivot rows) and its residual (the rest), and the residual is
-    zero exactly when v lies in the column space im N.  The replay is the
-    elimination of N with v appended as a column that is never a pivot, so
-    its divisions are Bareiss divisions too.  The last pivot D is the r x r
-    minor of N on the pivot rows and columns, so by Cramer's rule
-    back-substitution on U with right side D*(top of T*u), u an integer
-    column in im N, stays integral.  Every division is checked.
+    zero exactly when v lies in the column space im N.  Every division is
+    checked.
     """
-
-    __slots__ = ("rank", "_width", "_zero", "_steps")
-
-    def __init__(self, rows: list[list[int]]):
-        self._width = len(rows[0])
-        active = [row for row in rows if any(row)]
-        self._zero = [] if len(active) == len(rows) else [
-            i for i, row in enumerate(rows) if not any(row)]
-        # per step: the pivot's position among the active rows, U's row from
-        # the pivot column on, the heads of the other active rows, and the
-        # positions of the rows that became zero (None for none)
-        steps = self._steps = []
-        prev = 1
-        while active and active[0]:
-            heads = list(map(_first, active))
-            if not any(heads):
-                active = [row[1:] for row in active]
-                continue
-            at = heads.index(next(filter(None, heads)))
-            piv = heads.pop(at)
-            pivot_row = active.pop(at)
-            tail = pivot_row[1:]
-            tail_sum = sum(tail)
-            nxt, dropped = [], None
-            for row, head in zip(active, heads):
-                if prev == 1:
-                    vals = [x * piv - head * y for x, y in zip(row[1:], tail)]
-                else:
-                    vals = [(x * piv - head * y) // prev
-                            for x, y in zip(row[1:], tail)]
-                    # the numerators sum to piv*sum(row[1:]) - head*sum(tail);
-                    # floor remainders share the divisor's sign, so the
-                    # quotients sum to that over prev only if all are exact
-                    if (prev * sum(vals)
-                            != piv * (sum(row) - head) - head * tail_sum):
-                        raise InternalInconsistencyError(
-                            "Bareiss division must be exact")
-                if any(vals):
-                    nxt.append(vals)
-                elif dropped is None:
-                    dropped = [len(nxt)]
-                else:
-                    dropped.append(len(nxt) + len(dropped))
-            steps.append((at, pivot_row, heads, dropped))
-            active = nxt
-            prev = piv
-        self.rank = len(steps)
-
-    def replay(self, v: list[int]) -> list[int]:
-        """T*v for an integer column v, not modified, as its residual (the
-        rows without a pivot, n - r of them) followed by its top (the pivot
-        rows, in pivot order)."""
-        x, top, residual = list(v), [], []
-        for i in reversed(self._zero):
-            residual.append(x.pop(i))
-        prev = 1
-        for at, pivot_row, heads, dropped in self._steps:
-            piv = pivot_row[0]
-            xp = x.pop(at)
-            top.append(xp)
+    active = list(rows)
+    steps = []
+    prev = 1
+    while active and active[0]:
+        heads = [row[0] for row in active]
+        if not any(heads):
+            active = [row[1:] for row in active]
+            continue
+        at = heads.index(next(filter(None, heads)))
+        piv = heads.pop(at)
+        pivot_row = active.pop(at)
+        tail = pivot_row[1:]
+        tail_sum = sum(tail)
+        nxt, dropped = [], []
+        for row, head in zip(active, heads):
             if prev == 1:
-                x = [piv * y - h * xp for y, h in zip(x, heads)]
+                vals = [x * piv - head * y for x, y in zip(row[1:], tail)]
             else:
-                total = piv * sum(x) - xp * sum(heads)
-                x = [(piv * y - h * xp) // prev for y, h in zip(x, heads)]
-                if prev * sum(x) != total:  # as in the elimination
+                vals = [(x * piv - head * y) // prev
+                        for x, y in zip(row[1:], tail)]
+                # the numerators sum to piv*sum(row[1:]) - head*sum(tail);
+                # floor remainders share the divisor's sign, so the
+                # quotients sum to that over prev only if all are exact
+                if (prev * sum(vals)
+                        != piv * (sum(row) - head) - head * tail_sum):
                     raise InternalInconsistencyError(
                         "Bareiss division must be exact")
-            if dropped:
-                for i in reversed(dropped):
-                    residual.append(x.pop(i))
-            prev = piv
-        return residual + x + top
+            if any(vals):
+                nxt.append(vals)
+            else:
+                dropped.append(len(nxt) + len(dropped))
+        steps.append((at, pivot_row, heads, dropped))
+        active = nxt
+        prev = piv
+    return steps
 
-    def _solve(self, x: list[int], rhs: list[int]) -> list[int]:
-        """x, whose free entries are set, with its pivot entries filled in
-        so that U*x = rhs, made primitive."""
-        for (_, row, _, _), b in zip(reversed(self._steps), reversed(rhs)):
-            c = self._width - len(row)
-            q, rem = divmod(b - sum(map(mul, row[1:], x[c + 1:])), row[0])
-            if rem:
+
+def _replay(steps: list[tuple], v: list[int]) -> list[int]:
+    """T*v for an integer column v, not modified, as its residual (the rows
+    without a pivot, n - r of them) followed by its top (the pivot rows, in
+    pivot order).  This is the elimination of N with v appended as a column
+    that is never a pivot, so its divisions are Bareiss divisions too."""
+    x, top, residual = list(v), [], []
+    prev = 1
+    for at, pivot_row, heads, dropped in steps:
+        piv = pivot_row[0]
+        xp = x.pop(at)
+        top.append(xp)
+        if prev == 1:
+            x = [piv * y - h * xp for y, h in zip(x, heads)]
+        else:
+            total = piv * sum(x) - xp * sum(heads)
+            x = [(piv * y - h * xp) // prev for y, h in zip(x, heads)]
+            if prev * sum(x) != total:  # as in the elimination
                 raise InternalInconsistencyError(
-                    "back-substitution must divide exactly")
-            x[c] = q
-        return _primitive(x)
+                    "Bareiss division must be exact")
+        for i in reversed(dropped):
+            residual.append(x.pop(i))
+        prev = piv
+    # rows are left in x only when N has no pivot, that is N = 0
+    return residual + x + top
 
-    def kernel(self) -> list[list[int]]:
-        """A basis of ker N: for each free column f, the primitive multiple
-        of the solution of U*x = 0 with x_f = D and the other free entries
-        0."""
-        d = self._steps[-1][1][0] if self._steps else 1
-        pivots = {self._width - len(step[1]) for step in self._steps}
-        basis = []
-        for f in range(self._width):
-            if f not in pivots:
-                x = [0] * self._width
-                x[f] = d
-                basis.append(self._solve(x, [0] * self.rank))
-        return basis
 
-    def preimage(self, top: list[int]) -> list[int]:
-        """A primitive integer w with N*w a nonzero multiple of u, given the
-        top of T*u for a nonzero integer column u in im N."""
-        d = self._steps[-1][1][0]
-        return self._solve([0] * self._width, [d * y for y in top])
+def _back_substitute(steps: list[tuple], x: list[int],
+                     rhs: list[int]) -> list[int]:
+    """x, whose free entries are set, with its pivot entries filled in so
+    that U*x = rhs, made primitive."""
+    n = len(x)
+    for (_, row, _, _), b in zip(reversed(steps), reversed(rhs)):
+        c = n - len(row)
+        q, rem = divmod(b - sum(map(mul, row[1:], x[c + 1:])), row[0])
+        if rem:
+            raise InternalInconsistencyError(
+                "back-substitution must divide exactly")
+        x[c] = q
+    return _primitive(x)
+
+
+def _kernel(steps: list[tuple], n: int) -> list[list[int]]:
+    """A basis of ker N, N n x n: for each free column f, the primitive
+    multiple of the solution of U*x = 0 with x_f = D, the last pivot, and
+    the other free entries 0."""
+    d = steps[-1][1][0] if steps else 1
+    pivots = {n - len(step[1]) for step in steps}
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            x = [0] * n
+            x[f] = d
+            basis.append(_back_substitute(steps, x, [0] * len(steps)))
+    return basis
+
+
+def _preimage(steps: list[tuple], n: int, top: list[int]) -> list[int]:
+    """A primitive integer w with N*w a nonzero multiple of u, given the top
+    of T*u for a nonzero integer column u in im N.  The last pivot D is the
+    r x r minor of N on the pivot rows and columns, so by Cramer's rule
+    back-substitution on U with right side D*top stays integral."""
+    d = steps[-1][1][0]
+    return _back_substitute(steps, [0] * n, [d * y for y in top])
 
 
 # The largest primes below 2**62, descending.  Only ever extended, and only

@@ -136,10 +136,11 @@ def test_exactness_checks_survive_python_O():
         cases = [
             lambda: linalg._deflate([1, 0, 1], 1),
             lambda: linalg._int_char_poly([[1, 2], [3, 4]]),
-            lambda: linalg._Elimination([[2, 1, 0], [1, 2, 1],
-                                         [Fraction(1, 3), 1, 2]]),
+            lambda: linalg._eliminate([[2, 1, 0], [1, 2, 1],
+                                       [Fraction(1, 3), 1, 2]]),
             # [0, 1] is T*u only for u = (0, 1/2), not for an integer u
-            lambda: linalg._Elimination([[2, 1], [1, 2]]).preimage([0, 1]),
+            lambda: linalg._preimage(linalg._eliminate([[2, 1], [1, 2]]), 2,
+                                     [0, 1]),
             lambda: linalg._rational_roots([1, 1]),
             lambda: segre.count_segre_gf(3),
         ]

@@ -2,6 +2,7 @@
 the powers of N = b - mu*I, Gaussian elimination over Fraction and the
 closed form of a Jordan structure."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -138,20 +139,46 @@ def test_wide_eigenvalue():
     assert rank_pattern_of(a, 1).ranks == (37, 20, 4)
 
 
+@pytest.mark.parametrize("blocks", [[2] * 10 + [1] * 8,
+                                    [3] * 4 + [2] * 6 + [1] * 8])
+def test_many_blocks_under_dense_conjugation(blocks, monkeypatch):
+    # 18 blocks for eigenvalue 0 and 10*n random elementary operations:
+    # without content removal in the residual reduction, the reduced rows
+    # grow by a factor per stored row
+    tops = []
+    preimage = jordan._preimage
+    monkeypatch.setattr(jordan, "_preimage", lambda steps, n, top:
+                        tops.append(top) or preimage(steps, n, top))
+    rows = jordan_rows([blocks], [0])
+    n = len(rows)
+    rng = random.Random(n)
+    rows = conjugate(rows, [(rng.randrange(n), rng.randrange(n),
+                             rng.choice([-1, 1])) for _ in range(10 * n)])
+    expected = list(rank_pattern_from_blocks(Partition(blocks), n).ranks)
+    assert jordan._rank_pattern(rows, 0, n) == expected
+    assert jordan._rank_pattern(rows, 0, len(blocks) + 1) == expected[:3]
+    # the tops sent to back-substitution (none when the last level is 2)
+    # stay below the size of the minors of N^s, s the largest block, which
+    # the power loop formed
+    b = max(abs(x).bit_length() for row in rows for x in row)
+    bound = n * blocks[0] * (b + n.bit_length())
+    assert all(abs(x).bit_length() < bound for top in tops for x in top)
+
+
 def test_growing_increment_is_an_internal_error(monkeypatch):
     # a kernel basis that lists each vector twice makes level 1 yield two
     # preimages where ker N has one direction: q would grow from 1 to 2,
     # which blocks_from_rank_pattern would reject as bad input
-    kernel = linalg._Elimination.kernel
-    monkeypatch.setattr(linalg._Elimination, "kernel",
-                        lambda self: kernel(self) * 2)
+    kernel = jordan._kernel
+    monkeypatch.setattr(jordan, "_kernel",
+                        lambda steps, n: kernel(steps, n) * 2)
     a = build_jordan(JordanSpec(SegreCharacteristic([[3]]), [0]))
     with pytest.raises(InternalInconsistencyError, match="grew from 1 to 2"):
         rank_pattern_of(a, 0)
 
 
 def test_replay_checks_its_divisions():
-    e = linalg._Elimination([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
-    assert e.replay([0, 0, 1]) == [0, 0, 3]
+    steps = linalg._eliminate([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+    assert linalg._replay(steps, [0, 0, 1]) == [0, 0, 3]
     with pytest.raises(InternalInconsistencyError):
-        e.replay([0, 0, Fraction(1, 2)])
+        linalg._replay(steps, [0, 0, Fraction(1, 2)])
