@@ -7,7 +7,7 @@ recovers them from concrete rational matrices with exact arithmetic, and
 draws the corresponding block structures.
 """
 
-from .partitions import (Partition, conjugate, enumerate_partitions,
+from .partitions import (Partition, enumerate_partitions,
                          iter_partition_tuples, partition_count)
 from .segre import (SegreCharacteristic, SegreParseError, count_segre_gf,
                     count_segre_sum, enumerate_segre, format_segre, iter_segre,
@@ -17,7 +17,7 @@ from .rank_analysis import (NonMonotoneGrowthError, RankPattern,
                             rank_pattern_from_blocks)
 from .linalg import (ExactMatrix, PolynomialZ, char_poly, mat_mul,
                      matrix_from_json_dict, rank, rational_eigenvalues,
-                     rational_roots, shift)
+                     shift)
 from .jordan import (AnalysisReport, EigenvalueReport,
                      InternalInconsistencyError, IrrationalEigenvalueError,
                      JordanSpec, analyze, build_jordan, rank_pattern_of)
@@ -44,7 +44,6 @@ __all__ = [
     "blocks_from_rank_pattern",
     "build_jordan",
     "char_poly",
-    "conjugate",
     "count_segre_gf",
     "count_segre_sum",
     "enumerate_partitions",
@@ -62,7 +61,6 @@ __all__ = [
     "rank_pattern_from_blocks",
     "rank_pattern_of",
     "rational_eigenvalues",
-    "rational_roots",
     "render_ascii",
     "render_ferrers",
     "render_ferrers_conjugate_pair",

@@ -12,8 +12,7 @@ import json
 import os
 import sys
 
-from .jordan import (IrrationalEigenvalueError, JordanSpec, analyze,
-                     build_jordan)
+from .jordan import IrrationalEigenvalueError, JordanSpec, analyze
 from .linalg import matrix_from_json_dict
 from .rank_analysis import (NonMonotoneGrowthError, RankPattern,
                             blocks_from_rank_pattern, nullity_growth)

@@ -9,14 +9,13 @@ the powers of N, with one replay and one back-substitution per vector;
 no power of N is ever formed.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import (ExactMatrix, InternalInconsistencyError, shift,
                      _as_fraction, _eliminate, _int_char_poly, _kernel,
                      _preimage, _primitive, _rational_roots, _replay,
                      _scaled_rows)
-from .partitions import Partition
 from .rank_analysis import RankPattern, blocks_from_rank_pattern
 from .segre import SegreCharacteristic
 
@@ -91,20 +90,16 @@ class JordanSpec:
         return f"JordanSpec({self._segre!r}, {list(self._eigenvalues)!r})"
 
 
-@dataclass(frozen=True)
-class EigenvalueReport:
-    eigenvalue: Fraction
-    rank_pattern: RankPattern
-    blocks: Partition
+EigenvalueReport = namedtuple("EigenvalueReport",
+                              "eigenvalue rank_pattern blocks")
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(namedtuple("AnalysisReport", "segre per_eigenvalue")):
     """What analyze() found: the canonical characteristic plus the
-    per-eigenvalue evidence, in ascending eigenvalue order."""
+    per-eigenvalue evidence (EigenvalueReports), in ascending eigenvalue
+    order."""
 
-    segre: SegreCharacteristic
-    per_eigenvalue: tuple[EigenvalueReport, ...]
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -251,7 +246,7 @@ def analyze(a: ExactMatrix) -> AnalysisReport:
     n = a.rows
     reports = []
     groups = []
-    for mu, _, multiplicity in sorted(roots):  # monic: every root is an integer
+    for mu, multiplicity in sorted(roots):
         lam = Fraction(mu, d)
         pattern = RankPattern(n, _rank_pattern(b, mu, multiplicity))
         blocks = blocks_from_rank_pattern(pattern)

@@ -10,15 +10,15 @@ elimination, recorded so that its row operations can be replayed on more
 columns and its echelon back-substituted, which jordan's rank patterns
 use; characteristic polynomials come from a Hessenberg reduction
 modulo primes just below 2**62, combined by the Chinese remainder theorem
-up to a Hadamard-type bound on the coefficients.  Rational roots are
-integer roots of a monic polynomial (after y = a_n*x when the input is not
-monic); they are isolated by bisection over the integers with the Sturm
-chain of the square-free part, built from primitive pseudo-remainders, so
-the time is polynomial in the bit size of the coefficients, and each
-root's multiplicity comes from exact synthetic division.  Every exactness
-the integer arithmetic relies on is checked, and a failed check raises
-InternalInconsistencyError, which python -O does not remove.  The public
-functions taking an ExactMatrix are thin wrappers over these kernels.
+up to a Hadamard-type bound on the coefficients.  That polynomial is
+monic, so its rational roots are integers; they are isolated by bisection
+over the integers with the Sturm chain of the square-free part, built
+from primitive pseudo-remainders, so the time is polynomial in the bit
+size of the coefficients, and each root's multiplicity comes from exact
+synthetic division.  Every exactness the integer arithmetic relies on is
+checked, and a failed check raises InternalInconsistencyError, which
+python -O does not remove.  The public functions taking an ExactMatrix
+are thin wrappers over these kernels.
 """
 
 import math
@@ -471,7 +471,7 @@ class PolynomialZ:
     """Polynomial with integer coefficients, stored lowest-degree first.
 
     Trailing zero coefficients are trimmed; the zero polynomial has an
-    empty coefficient tuple and degree -1.
+    empty coefficient tuple.
     """
 
     __slots__ = ("_coeffs",)
@@ -489,21 +489,6 @@ class PolynomialZ:
     def coefficients(self) -> tuple[int, ...]:
         return self._coeffs
 
-    @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __call__(self, x):
-        """Exact Horner evaluation; x may be an int or Fraction."""
-        acc = Fraction(0) if isinstance(x, Fraction) else 0
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolynomialZ):
             return NotImplemented
@@ -511,26 +496,6 @@ class PolynomialZ:
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        terms = []
-        for e in range(self.degree, -1, -1):
-            c = self._coeffs[e]
-            if not c:
-                continue
-            if e == 0:
-                body = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                body = f"{mag}x" if e == 1 else f"{mag}x^{e}"
-            terms.append(("-" if c < 0 else "+", body))
-        sign, first = terms[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, body in terms[1:]:
-            text += f" {sign} {body}"
-        return text
 
     def __repr__(self) -> str:
         return f"PolynomialZ({list(self._coeffs)!r})"
@@ -666,33 +631,19 @@ def _integer_roots(f: list[int]) -> list[int]:
     return roots
 
 
-def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[int, int, int]], int]:
-    """Rational roots of the nonzero integer polynomial with the given
-    coefficients (lowest degree first) as (p, q, multiplicity) with p/q in
-    lowest terms and q > 0, in no particular order, plus the degree of the
-    rootless factor left over.  For a monic polynomial every q is 1.
+def _rational_roots(f: list[int]) -> tuple[list[tuple[int, int]], int]:
+    """The rational roots of the monic integer polynomial f of degree at
+    least 1 (lowest degree first) as (root, multiplicity), in no particular
+    order, plus the degree of the rootless factor left over.
 
-    Zero roots are stripped first.  With a the leading coefficient and n the
-    degree, y = a*x turns the rest into the monic F(y) = a**(n-1) * P(y/a),
-    whose rational roots are integers (a monic input is left as it is).
-    Those integer roots are found by Sturm bisection on the square-free part
-    of F (_integer_roots), in time polynomial in the bit size of the
-    coefficients.  Each root y is divided out of F by exact synthetic
-    division as often as it goes, which gives the multiplicity of y/a in the
-    input, since F is the input with x scaled and a constant factor.
+    By the rational root theorem every rational root of a monic integer
+    polynomial is an integer.  Those integers, 0 among them, are found by
+    Sturm bisection on the square-free part of f (_integer_roots), in time
+    polynomial in the bit size of the coefficients.  Each root is divided
+    out of f by exact synthetic division as often as it goes, which gives
+    its multiplicity.
     """
     roots = []
-    k0 = 0
-    while coeffs[k0] == 0:
-        k0 += 1
-    if k0:
-        roots.append((0, 1, k0))
-    f = coeffs[k0:]
-    a, n = f[-1], len(f) - 1
-    if n == 0:
-        return roots, 0
-    if a != 1:
-        f = [c * a ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
     for y in _integer_roots(f):
         mult = 0
         while _horner(f, y) == 0:
@@ -700,23 +651,9 @@ def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[int, int, int]], int]
             mult += 1
         if not mult:
             raise InternalInconsistencyError(
-                f"Sturm bisection found {y}, which is not a root of F")
-        g = math.gcd(y, a) * (1 if a > 0 else -1)
-        roots.append((y // g, a // g, mult))
+                f"Sturm bisection found {y}, which is not a root of f")
+        roots.append((y, mult))
     return roots, len(f) - 1
-
-
-def rational_roots(poly: PolynomialZ) -> tuple[list[tuple[Fraction, int]], int]:
-    """All rational roots with multiplicities, ascending, plus the leftover
-    degree.
-
-    The second value is the degree of the remaining factor, which has no
-    rational roots (0 when the polynomial splits over Q).
-    """
-    if poly.is_zero:
-        raise ValueError("the zero polynomial has no meaningful root set")
-    roots, remainder = _rational_roots(list(poly.coefficients))
-    return sorted((Fraction(p, q), mult) for p, q, mult in roots), remainder
 
 
 def rational_eigenvalues(a: ExactMatrix) -> tuple[list[tuple[Fraction, int]], int]:
@@ -731,7 +668,7 @@ def rational_eigenvalues(a: ExactMatrix) -> tuple[list[tuple[Fraction, int]], in
         raise ValueError("characteristic polynomial requires a square matrix")
     b, d = _scaled_rows(a)
     roots, remainder = _rational_roots(_int_char_poly(b))
-    return sorted((Fraction(p, q * d), mult) for p, q, mult in roots), remainder
+    return sorted((Fraction(mu, d), mult) for mu, mult in roots), remainder
 
 
 def matrix_from_json_dict(data) -> ExactMatrix:

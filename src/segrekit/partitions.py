@@ -80,11 +80,6 @@ class Partition:
         return f"Partition({self._parts!r})"
 
 
-def conjugate(p: Partition) -> Partition:
-    """Module-level alias for Partition.conjugate."""
-    return p.conjugate()
-
-
 # p(0), p(1), ... computed so far.  Only ever extended, and only under
 # _COUNT_LOCK, so a reader that sees len(cache) > n can index it unlocked.
 _COUNT_CACHE: list[int] = [1]

@@ -80,20 +80,6 @@ class RankPattern:
     def ranks(self) -> tuple[int, ...]:
         return self._ranks
 
-    @property
-    def stabilization_index(self) -> int:
-        """m, the power at which the ranks stop changing."""
-        return len(self._ranks) - 1
-
-    @property
-    def stable_rank(self) -> int:
-        return self._ranks[-1]
-
-    @property
-    def multiplicity(self) -> int:
-        """Algebraic multiplicity of the eigenvalue: n - r_m."""
-        return self._n - self._ranks[-1]
-
     @classmethod
     def parse(cls, text: str) -> "RankPattern":
         """Parse the textual form "n=10: 10,7,5,3,2,1,0"."""

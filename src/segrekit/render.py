@@ -8,7 +8,7 @@ SVG output is byte deterministic: same input, same bytes.
 """
 
 import string
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .jordan import JordanSpec
 from .linalg import InternalInconsistencyError
@@ -20,22 +20,21 @@ GUTTER_PX = 8
 _PALETTE = ("#ffa500", "#008000", "#ff0000", "#0000ff", "#800080")
 
 
-@dataclass(frozen=True)
-class StructureGrid:
+class StructureGrid(namedtuple("StructureGrid", "runs")):
     """The Jordan blocks of a matrix as (size, group) runs down the
     diagonal, group a 1-based eigenvalue index."""
 
-    runs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        runs = tuple((size, group) for size, group in self.runs)
+    def __new__(cls, runs):
+        runs = tuple((size, group) for size, group in runs)
         if not runs:
             raise ValueError("a structure grid needs at least one block")
         for run in runs:
             if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
                        for v in run):
                 raise ValueError(f"block run {run!r} needs a positive size and group")
-        object.__setattr__(self, "runs", runs)
+        return super().__new__(cls, runs)
 
     @property
     def n(self) -> int:

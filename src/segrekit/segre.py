@@ -56,10 +56,6 @@ class SegreCharacteristic:
         """Copy with groups sorted: descending weight, then lex-descending parts."""
         return SegreCharacteristic(sorted(self._groups, key=_group_key))
 
-    def flattened(self) -> Partition:
-        """All block sizes pooled into one partition, eigenvalues forgotten."""
-        return Partition(p for g in self._groups for p in g.parts)
-
     def __len__(self) -> int:
         return len(self._groups)
 

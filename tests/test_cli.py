@@ -386,6 +386,17 @@ def test_render_runs_in_bounded_memory():
     assert hashlib.sha256(done.stdout).hexdigest() == RENDER_12_DIGEST
 
 
+def test_cli_import_skips_dataclasses_and_inspect():
+    # the two cost about 10 ms of every segre process; -S keeps the .pth
+    # files of site-packages from importing them first
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import segrekit.cli; "
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "False False\n"
+
+
 def test_weight_is_capped():
     # count_segre_gf allocates n + 1 integers before any work, and the SVG
     # header of render needs that count too

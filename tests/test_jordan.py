@@ -176,6 +176,27 @@ def test_report_json_shape():
     }
 
 
+def test_report_is_a_frozen_record():
+    spec = JordanSpec(SegreCharacteristic([[2, 1], [1]]), [Fraction(1, 2), -3])
+    report = analyze(build_jordan(spec))
+    assert repr(report) == (
+        "AnalysisReport(segre=SegreCharacteristic([[2, 1], [1]]), "
+        "per_eigenvalue=(EigenvalueReport(eigenvalue=Fraction(-3, 1), "
+        "rank_pattern=RankPattern(4, (4, 3)), blocks=Partition((1,))), "
+        "EigenvalueReport(eigenvalue=Fraction(1, 2), "
+        "rank_pattern=RankPattern(4, (4, 2, 1)), blocks=Partition((2, 1)))))")
+    again = analyze(build_jordan(spec))
+    assert report == again and hash(report) == hash(again)
+    assert report.per_eigenvalue[1] == again.per_eigenvalue[1]
+    assert report != analyze(build_jordan(JordanSpec.positional(spec.segre)))
+    with pytest.raises(AttributeError):
+        report.segre = spec.segre
+    with pytest.raises(AttributeError):
+        report.per_eigenvalue[0].blocks = Partition([1])
+    with pytest.raises(AttributeError):
+        report.extra = 1
+
+
 def test_round_trip_all_characteristics_up_to_4():
     for n in range(1, 5):
         for s in enumerate_segre(n):

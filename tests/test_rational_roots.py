@@ -6,15 +6,13 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from segrekit import (ExactMatrix, IrrationalEigenvalueError, JordanSpec,
-                      PolynomialZ, SegreCharacteristic, analyze, build_jordan,
-                      rational_roots)
+                      SegreCharacteristic, analyze, build_jordan)
 from segrekit.linalg import _rational_roots
 
 from oracles import divisor_rational_roots, fraction_rational_roots, poly_mul
@@ -25,33 +23,47 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ROOTLESS = ([1], [1, 0, 1], [-2, 0, 1], [3, 1, 0, 1])
 
 
-@st.composite
-def products_of_linear_factors(draw):
-    """lead * prod (q*x - p)^m * a rootless factor, with |p| <= 9, q in
-    1..4 and m <= 2: small constant terms, so the oracles stay fast."""
-    poly = [draw(st.sampled_from([1, -1, 2, -3]))]
-    factors = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 4),
-                                      st.integers(1, 2)), max_size=3))
-    for p, q, m in factors:
+def monic_product(roots, rootless):
+    """prod (x - r)^m over the (r, m) in roots, times a rootless factor."""
+    poly = list(rootless)
+    for r, m in roots:
         for _ in range(m):
-            poly = poly_mul(poly, [-p, q])
-    return poly_mul(poly, draw(st.sampled_from(ROOTLESS)))
+            poly = poly_mul(poly, [-r, 1])
+    return poly
 
 
-random_polynomials = st.lists(st.integers(-30, 30), min_size=1,
-                              max_size=7).filter(lambda cs: cs[-1] != 0)
+def distinct_roots(values):
+    """(root, multiplicity) pairs with distinct roots, m <= 3."""
+    return st.lists(st.tuples(values, st.integers(1, 3)), max_size=3,
+                    unique_by=lambda rm: rm[0])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(products_of_linear_factors(), random_polynomials))
-def test_rational_roots_match_both_oracles(coeffs):
-    roots, remainder = _rational_roots(list(coeffs))
+@given(distinct_roots(st.integers(-9, 9)), st.sampled_from(ROOTLESS))
+def test_rational_roots_match_both_oracles(roots, rootless):
+    # small roots, 0 among them, so the divisor searches stay fast
+    coeffs = monic_product(roots, rootless)
+    assume(len(coeffs) > 1)
+    found, remainder = _rational_roots(coeffs)
     expected_roots, expected_remainder = divisor_rational_roots(coeffs)
-    assert sorted(roots) == sorted(expected_roots)
-    assert remainder == expected_remainder
-    assert all(q > 0 and Fraction(p, q).denominator == q for p, q, _ in roots)
-    expected = fraction_rational_roots(coeffs)
-    assert rational_roots(PolynomialZ(coeffs)) == expected
+    assert all(q == 1 for _, q, _ in expected_roots)
+    assert sorted(found) == sorted((p, m) for p, _, m in expected_roots)
+    assert remainder == expected_remainder == len(rootless) - 1
+    assert (sorted(found), remainder) == fraction_rational_roots(coeffs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(distinct_roots(st.integers(-50, 50).map(
+           lambda k: k + (10 ** 18 if k % 2 else -10 ** 18))),
+       st.sampled_from(ROOTLESS))
+def test_rational_roots_near_10_to_18(roots, rootless):
+    # beyond the divisor oracle's reach: checked against the roots the
+    # polynomial was built from
+    coeffs = monic_product(roots, rootless)
+    assume(len(coeffs) > 1)
+    found, remainder = _rational_roots(coeffs)
+    assert sorted(found) == sorted(roots)
+    assert remainder == len(rootless) - 1
 
 
 def timed(fn, *args):

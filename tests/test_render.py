@@ -49,6 +49,20 @@ def test_grid_validation():
     assert StructureGrid(((1, 7),)).group_count == 7
 
 
+def test_structure_grid_is_a_frozen_record():
+    g = grid_of(JordanSpec.positional(SegreCharacteristic([[2, 1], [1]])))
+    assert repr(g) == "StructureGrid(runs=((2, 1), (1, 1), (1, 2)))"
+    assert g == StructureGrid([[2, 1], [1, 1], [1, 2]])
+    assert hash(g) == hash(StructureGrid([(2, 1), (1, 1), (1, 2)]))
+    assert g != StructureGrid([[2, 1], [1, 2], [1, 1]])
+    with pytest.raises(AttributeError):
+        g.runs = ((1, 1),)
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    with pytest.raises(ValueError):
+        StructureGrid([(2, 1), (0, 2)])
+
+
 def test_ascii_goldens():
     assert render_ascii(grid_of(spec_of([[2]]))) == "a1\n.a"
     assert render_ascii(grid_of(spec_of([[1], [1]]))) == "a.\n.b"
