@@ -16,7 +16,7 @@ from .jordan import IrrationalEigenvalueError, JordanSpec, analyze
 from .linalg import matrix_from_json_dict
 from .rank_analysis import (NonMonotoneGrowthError, RankPattern,
                             blocks_from_rank_pattern, nullity_growth)
-from .render import _svg_pieces, grid_of, render_ascii
+from .render import _ascii_lines, _svg_pieces, grid_of
 from .segre import count_segre_gf, count_segre_sum, format_segre, iter_segre
 
 EXIT_OK = 0
@@ -125,6 +125,8 @@ def cmd_analyze(args) -> int:
         return _fail(f"{args.matrix_file} is not UTF-8 text: {exc}", EXIT_USAGE)
     except json.JSONDecodeError as exc:
         return _fail(f"{args.matrix_file} is not valid JSON: {exc}", EXIT_USAGE)
+    except RecursionError:  # json.load recurses once per nested [ or {
+        return _fail(f"{args.matrix_file} is nested too deeply", EXIT_USAGE)
     except ValueError as exc:
         # int() refuses decimal literals beyond sys.get_int_max_str_digits()
         return _fail(f"{args.matrix_file} holds a number too long to read: {exc}",
@@ -165,9 +167,10 @@ def cmd_render(args) -> int:
         pieces = _svg_pieces((grid_of(JordanSpec.positional(s)) for s in items),
                              count_segre_gf(args.n), args.n, args.columns)
     else:
-        pieces = (("\n" if i else "") + format_segre(s) + "\n"
-                  + render_ascii(grid_of(JordanSpec.positional(s))) + "\n"
-                  for i, s in enumerate(items))
+        pieces = (line + "\n" for i, s in enumerate(items)
+                  for lines in ([("\n" if i else "") + format_segre(s)],
+                                _ascii_lines(grid_of(JordanSpec.positional(s))))
+                  for line in lines)
     if not args.out:
         # a closed pipe raises BrokenPipeError here, which run() handles
         sys.stdout.writelines(pieces)

@@ -11,9 +11,9 @@ columns and its echelon back-substituted, which jordan's rank patterns
 use; characteristic polynomials come from a Hessenberg reduction
 modulo primes just below 2**62, combined by the Chinese remainder theorem
 up to a Hadamard-type bound on the coefficients.  That polynomial is
-monic, so its rational roots are integers; they are isolated by bisection
-over the integers with the Sturm chain of the square-free part, built
-from primitive pseudo-remainders, so the time is polynomial in the bit
+monic, so its rational roots are integers; the same primes give its
+square-free part by a modular gcd proven by exact division, whose roots
+modulo a small prime are lifted p-adically, in time polynomial in the bit
 size of the coefficients, and each root's multiplicity comes from exact
 synthetic division.  Every exactness the integer arithmetic relies on is
 checked, and a failed check raises InternalInconsistencyError, which
@@ -21,6 +21,7 @@ python -O does not remove.  The public functions taking an ExactMatrix
 are thin wrappers over these kernels.
 """
 
+import itertools
 import math
 import re
 import threading
@@ -434,6 +435,14 @@ def _char_poly_mod(b: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
+def _crt(xs: list[int], modulus: int, rs: list[int], p: int) -> list[int]:
+    """The integers in (-modulus*p/2, modulus*p/2] congruent to xs modulo
+    `modulus` and to rs modulo the prime p."""
+    inv, m = pow(modulus, -1, p), modulus * p
+    ys = (x + modulus * ((r - x) * inv % p) for x, r in zip(xs, rs))
+    return [y - m if y > m // 2 else y for y in ys]
+
+
 def _int_char_poly(b: list[list[int]]) -> list[int]:
     """Coefficients of det(xI - b), lowest degree first, for a square integer
     matrix b: the coefficients mod the primes _prime(0), _prime(1), ... are
@@ -455,12 +464,8 @@ def _int_char_poly(b: list[list[int]]) -> list[int]:
     while modulus <= bound:
         p = _prime(i)
         i += 1
-        inv = pow(modulus, -1, p)
-        coeffs = [c + modulus * ((r - c) * inv % p)
-                  for c, r in zip(coeffs, _char_poly_mod(b, p))]
+        coeffs = _crt(coeffs, modulus, _char_poly_mod(b, p), p)
         modulus *= p
-    half = modulus // 2
-    coeffs = [c - modulus if c > half else c for c in coeffs]
     if coeffs[n - 1] != -sum(row[k] for k, row in enumerate(b)):
         raise InternalInconsistencyError(
             "characteristic polynomial must have c_{n-1} = -trace")
@@ -542,92 +547,81 @@ def _primitive(p: list[int]) -> list[int]:
     return p if c == 1 else [x // c for x in p]
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """A positive multiple of the remainder of a divided by b.  Each step
-    scales by |lc(b)| rather than lc(b), so the sign survives."""
-    lb = b[-1]
-    scale, sign = abs(lb), (1 if lb > 0 else -1)
-    db = len(b) - 1
-    r = list(a)
-    while len(r) > db:
-        k = len(r) - 1 - db
-        f = sign * r[-1]
-        r = [scale * x for x in r]
-        for i, y in enumerate(b):
-            r[i + k] -= f * y
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+def _divide(f: list[int], h: list[int]) -> tuple[list[int], list[int]]:
+    """The quotient and the remainder of the integer polynomial f divided by
+    the monic integer h, the remainder as len(h) - 1 coefficients at most."""
+    d = len(h) - 1
+    rest = list(f)
+    q = [0] * (len(f) - d)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = rest[k + d]
+        rest[k:k + d] = [x - c * y for x, y in zip(rest[k:k + d], h)]
+    return q, rest[:d]
 
 
-def _sturm_chain(p: list[int]) -> list[list[int]]:
-    """p, p' and then minus each pseudo-remainder, every member after p made
-    primitive: a Sturm chain of p, ending in gcd(p, p') up to a constant."""
-    chain = [p, _primitive([i * c for i, c in enumerate(p) if i])]
-    while True:
-        r = _prem(chain[-2], chain[-1])
-        if not r:
-            return chain
-        chain.append(_primitive([-x for x in r]))
-
-
-def _variations(chain: list[list[int]], x: int) -> int:
-    """Sign changes along the chain evaluated at x, zeros skipped."""
-    count, last = 0, 0
-    for p in chain:
-        v = _horner(p, x)
-        if v:
-            if last and (v < 0) != (last < 0):
-                count += 1
-            last = v
-    return count
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of the monic a and of b modulo the prime p, lowest
+    degree first, by Euclid's algorithm."""
+    a = [x % p for x in a]
+    b = [x % p for x in b]
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        inv = pow(b[-1], -1, p)
+        rest = _divide(a, [x * inv % p for x in b])[1]
+        a, b = b, [x % p for x in rest]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
 
 
 def _integer_roots(f: list[int]) -> list[int]:
     """The distinct integer roots of the monic integer polynomial f of degree
     at least 1, in no particular order.
 
-    g = f / gcd(f, f') has the same roots, each simple.  The number of roots
-    of g in (lo, hi] is the drop in sign variations of its Sturm chain from lo
-    to hi, so bisecting over the integers from (-B-1, B], with B the Cauchy
-    bound, isolates every real root in an interval of length 1 after about
-    log2(B) halvings per root; the right end of each such interval is tested
-    exactly.
+    They are the roots of g = f / h, h = gcd(f, f'), each simple.  h is
+    monic and integral, and modulo any prime it divides the gcd there, so
+    no prime gives fewer terms: Brown's modular gcd (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 6) combines by CRT the gcds
+    modulo _prime(0), _prime(1), ... of the fewest terms seen, until they
+    divide f and f' exactly.  Modulo the smallest prime p with
+    gcd(g, g') = 1 there, an integer root y of g is a simple root, found by
+    trial and lifted by Newton's iteration modulo p^(2^k) (Loos, SIAM J.
+    Comput. 12, 1983) until the modulus exceeds twice the Cauchy bound
+    1 + max |g_i| on |y|; the symmetric residue, tested exactly, is y.
     """
-    chain = _sturm_chain(f)
-    h = chain[-1]
-    if len(h) > 1:
-        # h is primitive and divides the monic f, so by Gauss's lemma its
-        # leading coefficient is 1 or -1 and f / h has integer coefficients
-        if h[-1] < 0:
-            h = [-c for c in h]
-        rest = list(f)
-        g = [0] * (len(f) - len(h) + 1)
-        for k in range(len(g) - 1, -1, -1):
-            c = g[k] = rest[k + len(h) - 1]
-            for i, y in enumerate(h):
-                rest[i + k] -= c * y
-        if any(rest):
-            raise InternalInconsistencyError("gcd(f, f') must divide f exactly")
-        chain = _sturm_chain(g)
-    else:
-        g = f
-    bound = 1 + max(map(abs, g[:-1]))
-    lo, hi = -bound - 1, bound
-    todo = [(lo, _variations(chain, lo), hi, _variations(chain, hi))]
+    df = [i * c for i, c in enumerate(f) if i]
+    h, modulus = f, 1  # more terms than any gcd of f and f'
+    for i in itertools.count():
+        p = _prime(i)
+        r = _gcd_mod(f, df, p)
+        if len(r) < len(h):
+            h, modulus = r, 1
+        if len(r) == len(h):  # else p is unlucky
+            h = _crt(h, modulus, r, p)
+            modulus *= p
+            g, rest = _divide(f, h)
+            if not any(rest) and not any(_divide(df, h)[1]):
+                break
+    dg = [i * c for i, c in enumerate(g) if i]
+    p = next(q for q in itertools.count(2)
+             if _is_prime(q) and len(_gcd_mod(g, dg, q)) == 1)
+    bound = 2 * (1 + max(map(abs, g[:-1])))
     roots = []
-    while todo:
-        lo, vlo, hi, vhi = todo.pop()
-        if vlo == vhi:
+    for y in range(p):
+        if _horner(g, y) % p:
             continue
-        if hi - lo == 1:
-            if _horner(g, hi) == 0:
-                roots.append(hi)
-            continue
-        mid = (lo + hi) // 2
-        vmid = _variations(chain, mid)
-        todo.append((lo, vlo, mid, vmid))
-        todo.append((mid, vmid, hi, vhi))
+        q = p
+        while q <= bound:
+            q *= q
+            v = dv = 0
+            for c in reversed(g):  # g(y) and g'(y) modulo q
+                dv = (dv * y + v) % q
+                v = (v * y + c) % q
+            y = (y - v * pow(dv, -1, q)) % q
+        if y > q // 2:
+            y -= q
+        if _horner(g, y) == 0:
+            roots.append(y)
     return roots
 
 
@@ -638,7 +632,7 @@ def _rational_roots(f: list[int]) -> tuple[list[tuple[int, int]], int]:
 
     By the rational root theorem every rational root of a monic integer
     polynomial is an integer.  Those integers, 0 among them, are found by
-    Sturm bisection on the square-free part of f (_integer_roots), in time
+    p-adic lifting from the square-free part of f (_integer_roots), in time
     polynomial in the bit size of the coefficients.  Each root is divided
     out of f by exact synthetic division as often as it goes, which gives
     its multiplicity.
@@ -651,7 +645,7 @@ def _rational_roots(f: list[int]) -> tuple[list[tuple[int, int]], int]:
             mult += 1
         if not mult:
             raise InternalInconsistencyError(
-                f"Sturm bisection found {y}, which is not a root of f")
+                f"the root search found {y}, which is not a root of f")
         roots.append((y, mult))
     return roots, len(f) - 1
 

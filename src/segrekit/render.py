@@ -69,14 +69,16 @@ def render_ascii(grid: StructureGrid) -> str:
     eigenvalue cell falls back to a bracketed index token "<i>" instead
     (lines are then wider than n characters).
     """
+    return "\n".join(_ascii_lines(grid))
+
+
+def _ascii_lines(grid: StructureGrid):
     lettered = grid.group_count <= len(string.ascii_lowercase)
     n = grid.n
-    lines = []
     for r, group, one in _rows(grid):
         glyph = string.ascii_lowercase[group - 1] if lettered else f"<{group}>"
         right = "1" if one else ""
-        lines.append("." * r + glyph + right + "." * (n - r - 1 - len(right)))
-    return "\n".join(lines)
+        yield "." * r + glyph + right + "." * (n - r - 1 - len(right))
 
 
 def _fill(index: int) -> str:
@@ -90,27 +92,27 @@ def _fill(index: int) -> str:
     return "#" + "".join(f"{ch:02x}" for ch in channels)
 
 
-def _svg_grid(grid: StructureGrid, x: int, y: int) -> str:
+def _svg_grid(grid: StructureGrid, x: int, y: int):
     n = grid.n
-    out = [f'<g class="grid" transform="translate({x},{y})">\n']
+    yield f'<g class="grid" transform="translate({x},{y})">\n'
     for r, group, one in _rows(grid):
         fills = ["#ffffff"] * n
         fills[r] = _fill(group)
         if one:
             fills[r + 1] = "#000000"
-        out.extend(f'<rect x="{c * CELL_PX}" y="{r * CELL_PX}" '
-                   f'width="{CELL_PX}" height="{CELL_PX}" fill="{fill}" '
-                   'stroke="#cccccc" stroke-width="0.5"/>\n'
-                   for c, fill in enumerate(fills))
-    out.append(f'<rect x="0" y="0" width="{n * CELL_PX}" height="{n * CELL_PX}" '
-               'fill="none" stroke="#000000" stroke-width="1"/>\n</g>\n')
-    return "".join(out)
+        yield "".join(f'<rect x="{c * CELL_PX}" y="{r * CELL_PX}" '
+                      f'width="{CELL_PX}" height="{CELL_PX}" fill="{fill}" '
+                      'stroke="#cccccc" stroke-width="0.5"/>\n'
+                      for c, fill in enumerate(fills))
+    yield (f'<rect x="0" y="0" width="{n * CELL_PX}" height="{n * CELL_PX}" '
+           'fill="none" stroke="#000000" stroke-width="1"/>\n</g>\n')
 
 
 def _svg_pieces(grids, count: int, side: int, columns: int):
     """The SVG document for `count` grids of at most side x side cells,
     laid out row-major `columns` per row: the header, one framed
-    <g class="grid"> element per grid, then the footer.
+    <g class="grid"> element per grid, then the footer.  A grid comes one
+    matrix row at a time, so memory stays O(n) however large it is.
 
     Raises InternalInconsistencyError when `grids` holds a different number
     of grids, so a caller that takes `count` from elsewhere gets it checked.
@@ -124,8 +126,8 @@ def _svg_pieces(grids, count: int, side: int, columns: int):
            + ("\n" if count else ""))
     drawn = 0
     for grid in grids:
-        yield _svg_grid(grid, GUTTER_PX + drawn % columns * slot,
-                        GUTTER_PX + drawn // columns * slot)
+        yield from _svg_grid(grid, GUTTER_PX + drawn % columns * slot,
+                             GUTTER_PX + drawn // columns * slot)
         drawn += 1
     if drawn != count:
         raise InternalInconsistencyError(f"expected {count} grids, got {drawn}")

@@ -11,9 +11,9 @@ Faddeev-LeVerrier recurrence over the integers, instead of Hessenberg
 reduction modulo primes and the Chinese remainder theorem, trial division
 instead of Miller-Rabin, Fraction arithmetic throughout instead of one
 denominator-clearing scale, the rational root theorem's divisor candidates
-instead of Sturm bisection, brute-force multiset collection instead of
-generating-function or recursive counting, deduplication and a global sort
-instead of canonical generation in order.
+instead of a modular gcd and p-adic lifting, brute-force multiset
+collection instead of generating-function or recursive counting,
+deduplication and a global sort instead of canonical generation in order.
 """
 
 import itertools

@@ -202,6 +202,16 @@ def test_analyze_rejects_non_utf8_file(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_analyze_rejects_deeply_nested_json(tmp_path, capsys):
+    # json.load recurses once per bracket and gives up long before 200,000
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
+    assert err.count("\n") == 1
+
+
 def test_analyze_rejects_overlong_integer(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text('{"rows": 1, "cols": 1, "entries": [[' + "7" * 5000 + "]]}",
@@ -212,18 +222,19 @@ def test_analyze_rejects_overlong_integer(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def first_line_then_close(args, timeout):
-    """Run `python -m segrekit ARGS`, read one line of its stdout and close
-    the pipe; return that line, the exit code and everything on stderr."""
+def first_line_then_close(args, timeout, size=None, preexec_fn=None):
+    """Run `python -m segrekit ARGS`, read one line of its stdout (or `size`
+    bytes) and close the pipe; return what was read, the exit code and
+    everything on stderr."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.Popen([sys.executable, "-m", "segrekit", *args],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=env)
+                            env=env, preexec_fn=preexec_fn)
     # a child that prints nothing would block readline forever
     deadline = threading.Timer(timeout, proc.kill)
     deadline.start()
     try:
-        line = proc.stdout.readline()
+        line = proc.stdout.readline() if size is None else proc.stdout.read(size)
         proc.stdout.close()
         code = proc.wait(timeout=timeout)
         err = proc.stderr.read()
@@ -386,6 +397,19 @@ def test_render_runs_in_bounded_memory():
     assert hashlib.sha256(done.stdout).hexdigest() == RENDER_12_DIGEST
 
 
+def test_render_1000_streams_one_row_at_a_time():
+    # the first SVG grid of render 1000 is 101 MB; built whole it does not
+    # fit in the 200 MB of address space allowed here, one of its rows does
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (200 * 2**20, 200 * 2**20))
+
+    head, code, err = first_line_then_close(
+        ["render", "1000"], 60, size=50_000_000,
+        preexec_fn=limit_address_space)
+    assert (len(head), code, err) == (50_000_000, 0, b"")
+    assert head.startswith(b'<?xml version="1.0" encoding="UTF-8"?>\n')
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     # the two cost about 10 ms of every segre process; -S keeps the .pth
     # files of site-packages from importing them first
@@ -516,6 +540,9 @@ def matrix_files(draw):
         st.builds(lambda k: text[:k], st.integers(0, len(text))),
         st.binary(max_size=40),
         st.text(max_size=30).map(str.encode),
+        # nested brackets, closed or not, shallow or past the recursion limit
+        st.builds(lambda depth, closed: b"[" * depth + b"]" * (depth * closed),
+                  st.sampled_from([1, 2, 50, 5_000, 200_000]), st.booleans()),
     ))
 
 

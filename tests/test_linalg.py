@@ -201,6 +201,15 @@ def test_rational_roots_golden():
     assert roots_of([-2, 0, 1]) == ([], 2)
     assert roots_of([0, 0, 0, 1]) == ([(0, 3)], 0)
     assert roots_of([-7, 1]) == ([(7, 1)], 0)
+    # x (x - p), p = _prime(0): modulo p, gcd(f, f') is x, so p is unlucky
+    assert roots_of([0, -(2**62 - 57), 1]) == ([(0, 1), (2**62 - 57, 1)], 0)
+    # x (x - c) (x^2 + 1), c = 2 * 3 * ... * 47: x and x - c meet modulo
+    # every prime up to 47, so the roots are lifted from 53
+    c = 614889782588491410
+    assert roots_of(poly_mul([0, -c, 1], [1, 0, 1])) == ([(0, 1), (c, 1)], 2)
+    # (x^2 - 2)^2 (x - 5)^2: a repeated irrational factor next to a
+    # repeated root
+    assert roots_of(poly_mul([4, 0, -4, 0, 1], [25, -10, 1])) == ([(5, 2)], 4)
 
 
 def test_rational_roots_mixed():

@@ -1,8 +1,10 @@
-"""The Sturm-bisection root finder against the divisor-based and Fraction
-oracles, and the bit sizes the divisor search could not reach."""
+"""The root finder (a modular gcd for the square-free part, then p-adic
+lifting) against the divisor-based and Fraction oracles, and inputs beyond
+the divisor search: roots near 10^18 and a random 64 x 64 matrix."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,14 +15,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from segrekit import (ExactMatrix, IrrationalEigenvalueError, JordanSpec,
                       SegreCharacteristic, analyze, build_jordan)
-from segrekit.linalg import _rational_roots
+from segrekit.linalg import _int_char_poly, _rational_roots
 
 from oracles import divisor_rational_roots, fraction_rational_roots, poly_mul
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# x^2 + 1, x^2 - 2 and x^3 + x + 3 have no rational root
-ROOTLESS = ([1], [1, 0, 1], [-2, 0, 1], [3, 1, 0, 1])
+# x^2 + 1, x^2 - 2, x^3 + x + 3 and (x^2 - 2)^2 have no rational root; the
+# last is not square-free modulo any prime
+ROOTLESS = ([1], [1, 0, 1], [-2, 0, 1], [3, 1, 0, 1], [4, 0, -4, 0, 1])
 
 
 def monic_product(roots, rootless):
@@ -92,6 +95,16 @@ def test_diagonal_near_10_to_18():
         [[big + 9, 0], [0, big + 3]]))
     assert [r.eigenvalue for r in report.per_eigenvalue] == [big + 3, big + 9]
     assert str(report.segre) == "[(1),(1)]"
+    assert seconds < 1
+
+
+def test_root_search_of_a_random_64x64_matrix():
+    # a generic integer matrix: its characteristic polynomial is square-free
+    # with coefficients of about 300 bits and has no rational root
+    rng = random.Random(64)
+    b = [[rng.randint(-9, 9) for _ in range(64)] for _ in range(64)]
+    result, seconds = timed(_rational_roots, _int_char_poly(b))
+    assert result == ([], 64)
     assert seconds < 1
 
 

@@ -144,7 +144,9 @@ def test_svg_empty_input():
 def test_svg_pieces_check_the_grid_count():
     grids = [grid_of(JordanSpec.positional(s)) for s in enumerate_segre(3)]
     pieces = list(_svg_pieces(grids, 6, 3, 4))
-    assert len(pieces) == 1 + 6 + 1
+    # the header; per grid its <g> tag, one piece per matrix row and the
+    # frame; the footer
+    assert len(pieces) == 1 + 6 * (1 + 3 + 1) + 1
     assert "".join(pieces) == render_svg(grids)
     for count in (5, 7):
         with pytest.raises(InternalInconsistencyError):
