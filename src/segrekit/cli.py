@@ -8,6 +8,7 @@ pattern.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -106,7 +107,14 @@ def cmd_enumerate(args) -> int:
         return _fail("n must be >= 1", EXIT_USAGE)
     items = iter_segre(args.n)
     if args.format == "json":
-        print(json.dumps([format_segre(s) for s in items]))
+        # the bytes of json.dumps(list), 1024 items per write: a write per
+        # item is a system call per item when stdout is unbuffered
+        texts = map(format_segre, items)
+        sep = "["
+        while batch := list(itertools.islice(texts, 1024)):
+            sys.stdout.write(sep + json.dumps(batch)[1:-1])
+            sep = ", "
+        sys.stdout.write("]\n")
     else:
         total = 0
         for total, s in enumerate(items, 1):

@@ -14,11 +14,11 @@ up to a Hadamard-type bound on the coefficients.  That polynomial is
 monic, so its rational roots are integers; the same primes give its
 square-free part by a modular gcd proven by exact division, whose roots
 modulo a small prime are lifted p-adically, in time polynomial in the bit
-size of the coefficients, and each root's multiplicity comes from exact
-synthetic division.  Every exactness the integer arithmetic relies on is
-checked, and a failed check raises InternalInconsistencyError, which
-python -O does not remove.  The public functions taking an ExactMatrix
-are thin wrappers over these kernels.
+size of the coefficients, and each root's multiplicity comes from
+division by x - y until a remainder is left.  Every exactness the integer
+arithmetic relies on is checked, and a failed check raises
+InternalInconsistencyError, which python -O does not remove.  The public
+functions taking an ExactMatrix are thin wrappers over these kernels.
 """
 
 import itertools
@@ -53,6 +53,18 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def _integer(value, name: str, least: int | None = None) -> int:
+    """`value` if it is an int, not a bool, and at least `least` (0 or 1,
+    when given); otherwise ValueError naming it.  The one check for every
+    count the library takes: n, parts, ranks, shapes, runs, columns."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and (least is None or value >= least)):
+        return value
+    kind = {None: "an integer", 0: "a non-negative integer",
+            1: "a positive integer"}[least]
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 class ExactMatrix:
     """Immutable dense matrix with Fraction entries.
 
@@ -63,10 +75,8 @@ class ExactMatrix:
     __slots__ = ("_rows", "_cols", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        if not isinstance(rows, int) or isinstance(rows, bool) or rows < 1:
-            raise ValueError(f"rows must be a positive integer, got {rows!r}")
-        if not isinstance(cols, int) or isinstance(cols, bool) or cols < 1:
-            raise ValueError(f"cols must be a positive integer, got {cols!r}")
+        _integer(rows, "rows", 1)
+        _integer(cols, "cols", 1)
         es = tuple(_as_fraction(e) for e in entries)
         if len(es) != rows * cols:
             raise ValueError(
@@ -89,12 +99,14 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
+        _integer(n, "n", 1)  # before range(n) can raise a TypeError
         return cls(n, n, (1 if i == j else 0
                           for i in range(n) for j in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls(_integer(rows, "rows", 1), _integer(cols, "cols", 1),
+                   (0,) * (rows * cols))
 
     @property
     def rows(self) -> int:
@@ -475,17 +487,14 @@ def _int_char_poly(b: list[list[int]]) -> list[int]:
 class PolynomialZ:
     """Polynomial with integer coefficients, stored lowest-degree first.
 
-    Trailing zero coefficients are trimmed; the zero polynomial has an
-    empty coefficient tuple.
+    Coefficients must be ints, not bools.  Trailing zero coefficients are
+    trimmed; the zero polynomial has an empty coefficient tuple.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable[int] = ()):
-        cs = list(coefficients)
-        for c in cs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError(f"coefficients must be integers, got {c!r}")
+        cs = [_integer(c, "coefficient") for c in coefficients]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -529,18 +538,6 @@ def _horner(coeffs: list[int], x: int) -> int:
     return acc
 
 
-def _deflate(f: list[int], y: int) -> list[int]:
-    """The monic integer f divided by (x - y), by synthetic division; the
-    remainder f(y) must be zero."""
-    out = [0] * (len(f) - 1)
-    acc = 0
-    for k in range(len(f) - 1, 0, -1):
-        acc = out[k - 1] = f[k] + y * acc
-    if f[0] + y * acc != 0:
-        raise InternalInconsistencyError("claimed root must divide exactly")
-    return out
-
-
 def _primitive(p: list[int]) -> list[int]:
     """p divided by the positive gcd of its coefficients."""
     c = math.gcd(*p)
@@ -555,7 +552,8 @@ def _divide(f: list[int], h: list[int]) -> tuple[list[int], list[int]]:
     q = [0] * (len(f) - d)
     for k in range(len(q) - 1, -1, -1):
         c = q[k] = rest[k + d]
-        rest[k:k + d] = [x - c * y for x, y in zip(rest[k:k + d], h)]
+        for i in range(d):
+            rest[k + i] -= c * h[i]
     return q, rest[:d]
 
 
@@ -633,16 +631,18 @@ def _rational_roots(f: list[int]) -> tuple[list[tuple[int, int]], int]:
     By the rational root theorem every rational root of a monic integer
     polynomial is an integer.  Those integers, 0 among them, are found by
     p-adic lifting from the square-free part of f (_integer_roots), in time
-    polynomial in the bit size of the coefficients.  Each root is divided
-    out of f by exact synthetic division as often as it goes, which gives
-    its multiplicity.
+    polynomial in the bit size of the coefficients.  Each root y is divided
+    out of f as often as x - y leaves no remainder, which gives its
+    multiplicity.
     """
     roots = []
     for y in _integer_roots(f):
         mult = 0
-        while _horner(f, y) == 0:
-            f = _deflate(f, y)
-            mult += 1
+        while True:
+            q, (r,) = _divide(f, [-y, 1])
+            if r:
+                break
+            f, mult = q, mult + 1
         if not mult:
             raise InternalInconsistencyError(
                 f"the root search found {y}, which is not a root of f")
@@ -668,19 +668,18 @@ def rational_eigenvalues(a: ExactMatrix) -> tuple[list[tuple[Fraction, int]], in
 def matrix_from_json_dict(data) -> ExactMatrix:
     """Matrix from {"rows": n, "cols": m, "entries": [[...], ...]}, validated.
 
-    Entries must be JSON integers or "p", "-p", "p/q", "-p/q" strings of
-    ASCII digits; floats are rejected because they are not exact.
+    "rows" and "cols" must be integers >= 1.  Entries must be JSON integers
+    or "p", "-p", "p/q", "-p/q" strings of ASCII digits; floats are
+    rejected because they are not exact.
     """
     if not isinstance(data, dict):
         raise ValueError("matrix JSON must be an object")
     missing = {"rows", "cols", "entries"} - data.keys()
     if missing:
         raise ValueError(f"matrix JSON missing keys: {sorted(missing)}")
-    rows, cols, entries = data["rows"], data["cols"], data["entries"]
-    if not isinstance(rows, int) or isinstance(rows, bool) or rows < 1:
-        raise ValueError(f'"rows" must be a positive integer, got {rows!r}')
-    if not isinstance(cols, int) or isinstance(cols, bool) or cols < 1:
-        raise ValueError(f'"cols" must be a positive integer, got {cols!r}')
+    rows = _integer(data["rows"], '"rows"', 1)
+    cols = _integer(data["cols"], '"cols"', 1)
+    entries = data["entries"]
     if not isinstance(entries, list) or len(entries) != rows:
         raise ValueError(f'"entries" must be a list of {rows} rows')
     flat = []

@@ -8,6 +8,8 @@ precision.
 import threading
 from collections.abc import Iterable, Iterator
 
+from .linalg import _integer
+
 
 class Partition:
     """A non-increasing tuple of positive integers.
@@ -15,7 +17,8 @@ class Partition:
     Parts may be given in any order; they are sorted into non-increasing
     order on construction, so two Partitions are equal exactly when they
     hold the same multiset of parts.  The empty partition (weight 0) is
-    allowed.
+    allowed.  A part that is not an int >= 1, or is a bool, raises
+    ValueError.
     """
 
     __slots__ = ("_parts", "_weight")
@@ -23,10 +26,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(parts)
         for p in parts:
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise ValueError(f"partition parts must be integers, got {p!r}")
-            if p < 1:
-                raise ValueError(f"partition parts must be >= 1, got {p}")
+            _integer(p, "partition part", 1)
         self._parts = tuple(sorted(parts, reverse=True))
         self._weight = sum(parts)
 
@@ -90,12 +90,9 @@ def partition_count(n: int) -> int:
     """Number of partitions of n, via Euler's pentagonal number recurrence.
 
     p(m) = sum over j >= 1 of (-1)^(j+1) * (p(m - j(3j-1)/2) + p(m - j(3j+1)/2)),
-    with p(0) = 1 and p(k) = 0 for k < 0.  Exact for any n.
+    with p(0) = 1 and p(k) = 0 for k < 0.  Exact for any int n >= 0.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _integer(n, "n", 0)
     cache = _COUNT_CACHE
     if n < len(cache):
         return cache[n]
@@ -120,9 +117,8 @@ def partition_count(n: int) -> int:
 
 def iter_partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
     """Yield all partitions of n as plain tuples, largest-first (reverse
-    lexicographic): (n) first, (1,)*n last."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    lexicographic): (n) first, (1,)*n last.  n must be an int >= 0."""
+    _integer(n, "n", 0)
     if n == 0:
         yield ()
         return

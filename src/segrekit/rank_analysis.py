@@ -14,6 +14,7 @@ which serves as an independent oracle for rank computations.
 import re
 from collections.abc import Iterable
 
+from .linalg import _integer
 from .partitions import Partition
 
 
@@ -35,25 +36,23 @@ class NonMonotoneGrowthError(ValueError):
 class RankPattern:
     """The sequence rank((A - L*I)^k) for k = 0, 1, ..., m.
 
-    Invariants enforced on construction: r_0 equals the dimension, ranks
-    never increase, and the stored sequence stops at the first stabilized
-    value (a trailing run of equal ranks is truncated to its first entry;
-    any later change is rejected, since ranks of powers stay put once they
-    repeat).  A length-1 pattern (n,) means L is not an eigenvalue.
+    Invariants enforced on construction: ranks are ints in [0, n] for an
+    int dimension n >= 1, r_0 = n, ranks never increase, and the stored
+    sequence stops at the first stabilized value (a trailing run of equal
+    ranks is truncated to its first entry; any later change is rejected,
+    since ranks of powers stay put once they repeat).  A length-1 pattern
+    (n,) means L is not an eigenvalue.
     """
 
     __slots__ = ("_n", "_ranks")
 
     def __init__(self, dimension: int, ranks: Iterable[int]):
-        if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
-            raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
+        _integer(dimension, "dimension", 1)
         rs = tuple(ranks)
         if not rs:
             raise ValueError("a rank pattern needs at least r_0")
         for r in rs:
-            if not isinstance(r, int) or isinstance(r, bool):
-                raise ValueError(f"ranks must be integers, got {r!r}")
-            if r < 0 or r > dimension:
+            if _integer(r, "rank") < 0 or r > dimension:
                 raise ValueError(f"rank {r} outside [0, {dimension}]")
         if rs[0] != dimension:
             raise ValueError(
@@ -136,6 +135,7 @@ def rank_pattern_from_blocks(blocks: Partition, dimension: int) -> RankPattern:
     The remaining dimension - sum(blocks) dimensions belong to other
     eigenvalues and never lose rank under the shift.
     """
+    _integer(dimension, "dimension", 1)
     if not isinstance(blocks, Partition):
         blocks = Partition(blocks)
     if blocks.weight > dimension:

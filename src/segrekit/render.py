@@ -11,7 +11,7 @@ import string
 from collections import namedtuple
 
 from .jordan import JordanSpec
-from .linalg import InternalInconsistencyError
+from .linalg import InternalInconsistencyError, _integer
 from .partitions import Partition
 
 CELL_PX = 16
@@ -22,18 +22,16 @@ _PALETTE = ("#ffa500", "#008000", "#ff0000", "#0000ff", "#800080")
 
 class StructureGrid(namedtuple("StructureGrid", "runs")):
     """The Jordan blocks of a matrix as (size, group) runs down the
-    diagonal, group a 1-based eigenvalue index."""
+    diagonal, group a 1-based eigenvalue index; both are ints >= 1."""
 
     __slots__ = ()
 
     def __new__(cls, runs):
-        runs = tuple((size, group) for size, group in runs)
+        runs = tuple((_integer(size, "block size", 1),
+                      _integer(group, "block group", 1))
+                     for size, group in runs)
         if not runs:
             raise ValueError("a structure grid needs at least one block")
-        for run in runs:
-            if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                       for v in run):
-                raise ValueError(f"block run {run!r} needs a positive size and group")
         return super().__new__(cls, runs)
 
     @property
@@ -141,8 +139,7 @@ def render_svg(grids, columns: int = 4) -> str:
     framed <g class="grid"> element, GUTTER_PX of space around every slot.
     Output is pure string assembly, hence byte-deterministic.
     """
-    if not isinstance(columns, int) or isinstance(columns, bool) or columns < 1:
-        raise ValueError(f"columns must be a positive integer, got {columns!r}")
+    _integer(columns, "columns", 1)
     grids = list(grids)
     side = max((g.n for g in grids), default=0)
     return "".join(_svg_pieces(grids, len(grids), side, columns))

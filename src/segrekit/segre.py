@@ -12,7 +12,7 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from operator import mul
 
-from .linalg import InternalInconsistencyError
+from .linalg import InternalInconsistencyError, _integer
 from .partitions import Partition, iter_partition_tuples, partition_count
 
 
@@ -98,7 +98,8 @@ def parse_segre(text: str) -> SegreCharacteristic:
     Grammar: '[' group (',' group)* ']' where a group is either a
     parenthesized comma-separated list of positive integers or a bare
     integer (shorthand for a singleton group).  Whitespace between tokens
-    is ignored.  Group order is preserved.
+    is ignored.  Group order is preserved.  Malformed text, a part too long
+    for int() among it, raises SegreParseError.
     """
     pos = 0
     n = len(text)
@@ -123,7 +124,10 @@ def parse_segre(text: str) -> SegreCharacteristic:
             pos += 1
         if pos == start:
             raise SegreParseError("expected an integer", start)
-        value = int(text[start:pos])
+        try:
+            value = int(text[start:pos])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise SegreParseError("integer too long", start) from None
         if value < 1:
             raise SegreParseError("parts must be >= 1", start)
         return value
@@ -199,8 +203,7 @@ def iter_segre(n: int) -> Iterator[SegreCharacteristic]:
     split into groups depth first, candidates taken in that order, so each
     form is built once and in place.  There are count_segre_gf(n) items.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _integer(n, "n", 1)
     for flat in iter_partition_tuples(n):
         # one memo per flattened partition: its sub-multisets recur often
         groups_of = lru_cache(maxsize=None)(_groups_of)
@@ -212,20 +215,15 @@ def enumerate_segre(n: int) -> list[SegreCharacteristic]:
     return list(iter_segre(n))
 
 
-def _check_weight(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be >= 0, got {n!r}")
-
-
 def count_segre_gf(n: int) -> int:
-    """Count characteristics of weight n by generating function.
+    """Count characteristics of weight n >= 0 by generating function.
 
     prod_{k>=1} (1 - x^k)^(-p(k)), the Euler transform of the partition
     numbers (Bernstein and Sloane 1995), gives by its logarithmic derivative
     n a(n) = sum_{k=1..n} c(k) a(n-k), c(k) = sum_{d | k} d p(d): divisor
     sums and an exact division, checked (InternalInconsistencyError).
     """
-    _check_weight(n)
+    _integer(n, "n", 0)
     c = [0] * (n + 1)
     for d in range(1, n + 1):
         dp = d * partition_count(d)
@@ -241,7 +239,7 @@ def count_segre_gf(n: int) -> int:
 
 
 def count_segre_sum(n: int) -> int:
-    """Count characteristics of weight n by summation over partitions.
+    """Count characteristics of weight n >= 0 by summation over partitions.
 
     A partition of n, read as the multiset of group weights, is realized by
     the product over distinct weights v (used t times) of C(p(v)+t-1, t)
@@ -249,7 +247,7 @@ def count_segre_sum(n: int) -> int:
     of i into parts <= k; k used t times adds C(p(k)+t-1, t) totals[i-tk]:
     binomials and products only, an independent check of count_segre_gf.
     """
-    _check_weight(n)
+    _integer(n, "n", 0)
     totals = [1] + [0] * n
     for k in range(1, n + 1):
         pk = partition_count(k)

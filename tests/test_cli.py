@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from segrekit.cli import main
+from segrekit.segre import format_segre, iter_segre
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -255,6 +256,21 @@ def test_enumerate_streams_its_first_line():
     # 71,832,114 characteristics of weight 30: only a streaming enumeration
     # can print the first one at once
     assert first_line_then_close(["enumerate", "30"], 5) == (b"[(30)]\n", 0, b"")
+
+
+def test_enumerate_json_streams_its_first_bytes():
+    # the JSON list of weight 30 is written while it is enumerated
+    head = b'["[(30)]", "[(29,1)]", "[(29),(1)]", "[(28,2)]", "[(28),(2)]", '
+    out, code, err = first_line_then_close(
+        ["enumerate", "30", "--format", "json"], 5, size=100)
+    assert (out[:len(head)], len(out), code, err) == (head, 100, 0, b"")
+
+
+def test_enumerate_json_is_json_dumps_of_the_list(capsys):
+    for n in range(1, 11):
+        assert main(["enumerate", str(n), "--format", "json"]) == 0
+        want = json.dumps([format_segre(s) for s in iter_segre(n)]) + "\n"
+        assert capsys.readouterr().out == want, n
 
 
 def test_analyze_rejects_entry_strings_outside_the_grammar(tmp_path, capsys):

@@ -134,7 +134,9 @@ def test_exactness_checks_survive_python_O():
         from segrekit import InternalInconsistencyError, linalg, segre
         assert False, "asserts must be stripped"
         cases = [
-            lambda: linalg._deflate([1, 0, 1], 1),
+            lambda: linalg._replay(
+                linalg._eliminate([[2, 1, 0], [1, 2, 1], [0, 1, 2]]),
+                [0, 0, Fraction(1, 2)]),
             lambda: linalg._int_char_poly([[1, 2], [3, 4]]),
             lambda: linalg._eliminate([[2, 1, 0], [1, 2, 1],
                                        [Fraction(1, 3), 1, 2]]),

@@ -4,8 +4,12 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-from segrekit import (Partition, enumerate_partitions, iter_partition_tuples,
-                      partition_count, partitions)
+from segrekit import (ExactMatrix, Partition, PolynomialZ, RankPattern,
+                      StructureGrid, count_segre_gf, count_segre_sum,
+                      enumerate_partitions, enumerate_segre,
+                      iter_partition_tuples, iter_segre, matrix_from_json_dict,
+                      partition_count, partitions, rank_pattern_from_blocks,
+                      render_svg)
 
 from oracles import (conjugate_by_transpose, naive_partition_count,
                      naive_partitions, partition_count_table)
@@ -158,3 +162,44 @@ def test_equality_and_hash():
     assert hash(Partition([2, 1])) == hash(Partition([1, 2]))
     assert Partition([2, 1]) != Partition([3])
     assert len({Partition([2, 1]), Partition([1, 2]), Partition([3])}) == 2
+
+
+# every count argument of the library, each with the least value it takes
+# (None: no lower bound); generators are asked for their first item only,
+# so one that yields without end on a bad n fails instead of hanging
+COUNT_ARGUMENTS = {
+    "ExactMatrix rows": (lambda v: ExactMatrix(v, 1, [0]), 1),
+    "ExactMatrix cols": (lambda v: ExactMatrix(1, v, [0]), 1),
+    "ExactMatrix.identity": (ExactMatrix.identity, 1),
+    "ExactMatrix.zeros rows": (lambda v: ExactMatrix.zeros(v, 1), 1),
+    "ExactMatrix.zeros cols": (lambda v: ExactMatrix.zeros(1, v), 1),
+    "PolynomialZ coefficient": (lambda v: PolynomialZ([v]), None),
+    "matrix_from_json_dict rows": (lambda v: matrix_from_json_dict(
+        {"rows": v, "cols": 1, "entries": [[0]]}), 1),
+    "matrix_from_json_dict cols": (lambda v: matrix_from_json_dict(
+        {"rows": 1, "cols": v, "entries": [[0]]}), 1),
+    "Partition part": (lambda v: Partition([2, v]), 1),
+    "partition_count": (partition_count, 0),
+    "iter_partition_tuples": (lambda v: next(iter_partition_tuples(v)), 0),
+    "enumerate_partitions": (enumerate_partitions, 0),
+    "RankPattern dimension": (lambda v: RankPattern(v, [1]), 1),
+    "RankPattern rank": (lambda v: RankPattern(3, [3, v]), 0),
+    "rank_pattern_from_blocks": (
+        lambda v: rank_pattern_from_blocks(Partition([1]), v), 1),
+    "StructureGrid size": (lambda v: StructureGrid([(v, 1)]), 1),
+    "StructureGrid group": (lambda v: StructureGrid([(1, v)]), 1),
+    "render_svg columns": (lambda v: render_svg([], columns=v), 1),
+    "iter_segre": (lambda v: next(iter_segre(v)), 1),
+    "enumerate_segre": (enumerate_segre, 1),
+    "count_segre_gf": (count_segre_gf, 0),
+    "count_segre_sum": (count_segre_sum, 0),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry, (_, least) in COUNT_ARGUMENTS.items()
+    for value in (2.5, True, "x") + (() if least is None else (least - 1,))])
+def test_count_arguments_must_be_ints(entry, value):
+    call, _ = COUNT_ARGUMENTS[entry]
+    with pytest.raises(ValueError):
+        call(value)

@@ -240,6 +240,8 @@ def test_parse_errors_carry_positions():
         # digits are ASCII only; str.isdigit() would take these two
         "[(\u0663)]": 2,
         "[(\u00b2)]": 2,
+        # beyond int()'s digit limit
+        "[(" + "1" * 5000 + ")]": 2,
     }
     for text, pos in cases.items():
         with pytest.raises(SegreParseError) as err:
