@@ -118,8 +118,8 @@ def cmd_enumerate(args) -> int:
     else:
         total = 0
         for total, s in enumerate(items, 1):
-            print(format_segre(s))
-        print(f"total: {total}")
+            sys.stdout.write(format_segre(s) + "\n")
+        sys.stdout.write(f"total: {total}\n")
     return EXIT_OK
 
 

@@ -583,9 +583,9 @@ def _integer_roots(f: list[int]) -> list[int]:
     modulo _prime(0), _prime(1), ... of the fewest terms seen, until they
     divide f and f' exactly.  Modulo the smallest prime p with
     gcd(g, g') = 1 there, an integer root y of g is a simple root, found by
-    trial and lifted by Newton's iteration modulo p^(2^k) (Loos, SIAM J.
-    Comput. 12, 1983) until the modulus exceeds twice the Cauchy bound
-    1 + max |g_i| on |y|; the symmetric residue, tested exactly, is y.
+    trial modulo p and lifted by Newton's iteration modulo p^(2^k) (Loos,
+    SIAM J. Comput. 12, 1983) past twice the Cauchy bound 1 + max |g_i| on
+    |y|; a symmetric residue within the bound, if g vanishes there, is y.
     """
     df = [i * c for i, c in enumerate(f) if i]
     h, modulus = f, 1  # more terms than any gcd of f and f'
@@ -604,9 +604,10 @@ def _integer_roots(f: list[int]) -> list[int]:
     p = next(q for q in itertools.count(2)
              if _is_prime(q) and len(_gcd_mod(g, dg, q)) == 1)
     bound = 2 * (1 + max(map(abs, g[:-1])))
+    g_p = [c % p for c in g]
     roots = []
     for y in range(p):
-        if _horner(g, y) % p:
+        if _horner(g_p, y) % p:
             continue
         q = p
         while q <= bound:
@@ -618,7 +619,7 @@ def _integer_roots(f: list[int]) -> list[int]:
             y = (y - v * pow(dv, -1, q)) % q
         if y > q // 2:
             y -= q
-        if _horner(g, y) == 0:
+        if 2 * abs(y) <= bound and _horner(g, y) == 0:
             roots.append(y)
     return roots
 

@@ -16,9 +16,9 @@ from .linalg import InternalInconsistencyError, _integer
 from .partitions import Partition, iter_partition_tuples, partition_count
 
 
-def _group_key(g: Partition) -> tuple:
-    # descending weight, ties broken lexicographically descending on parts
-    return (-g.weight, tuple(-p for p in g.parts))
+def _key(parts: tuple) -> tuple:
+    # the canonical group order, taken descending: weight, then parts
+    return (sum(parts), parts)
 
 
 class SegreCharacteristic:
@@ -40,9 +40,8 @@ class SegreCharacteristic:
             if not g:
                 raise ValueError("groups must be non-empty partitions")
         self._groups = gs
-        self._canonical_parts = tuple(
-            g.parts for g in sorted(gs, key=_group_key)
-        )
+        self._canonical_parts = tuple(sorted(
+            (g.parts for g in gs), key=_key, reverse=True))
 
     @property
     def groups(self) -> tuple[Partition, ...]:
@@ -53,8 +52,8 @@ class SegreCharacteristic:
         return sum(g.weight for g in self._groups)
 
     def canonical(self) -> "SegreCharacteristic":
-        """Copy with groups sorted: descending weight, then lex-descending parts."""
-        return SegreCharacteristic(sorted(self._groups, key=_group_key))
+        """Copy with groups in canonical order: _key(parts), descending."""
+        return SegreCharacteristic(self._canonical_parts)
 
     def __len__(self) -> int:
         return len(self._groups)
@@ -163,8 +162,8 @@ def parse_segre(text: str) -> SegreCharacteristic:
 
 def _groups_of(rest: tuple) -> list:
     """The distinct non-empty sub-multisets of the descending tuple `rest`,
-    each as ((weight, parts), Partition, what is left of rest), largest
-    (weight, parts) first."""
+    each as (_key(parts), Partition, what is left of rest), largest key
+    first."""
     values = sorted(set(rest), reverse=True)
     counts = [rest.count(v) for v in values]
     found = []
@@ -173,18 +172,18 @@ def _groups_of(rest: tuple) -> list:
         if parts:
             left = tuple(v for v, c, t in zip(values, counts, take)
                          for _ in range(c - t))
-            found.append(((sum(parts), parts), Partition(parts), left))
+            found.append((_key(parts), Partition(parts), left))
     return sorted(found, key=lambda c: c[0], reverse=True)
 
 
 def _splits(rest: tuple, bound: tuple, groups_of) -> Iterator[tuple]:
-    # splits of `rest` into groups with non-increasing (weight, parts) keys,
-    # none above `bound`, descending; a group is kept only if what is left
-    # can still be split below it, as singletons headed by its largest part
+    # splits of `rest` into groups with non-increasing _key(parts), none
+    # above `bound`, descending; a group is kept only if what is left can
+    # still be split below it, as singletons headed by its largest part
     if not rest:
         yield ()
         return
-    floor = (rest[0], rest[:1])
+    floor = _key(rest[:1])
     for key, group, left in groups_of(rest):
         if key > bound:
             continue
@@ -199,7 +198,7 @@ def iter_segre(n: int) -> Iterator[SegreCharacteristic]:
 
     Characteristics sharing a flattened block partition are contiguous
     (those partitions largest-first); within such a run the canonical group
-    sequences descend, groups compared by (weight, parts).  The parts are
+    sequences descend, groups compared by _key(parts).  The parts are
     split into groups depth first, candidates taken in that order, so each
     form is built once and in place.  There are count_segre_gf(n) items.
     """
@@ -207,7 +206,7 @@ def iter_segre(n: int) -> Iterator[SegreCharacteristic]:
     for flat in iter_partition_tuples(n):
         # one memo per flattened partition: its sub-multisets recur often
         groups_of = lru_cache(maxsize=None)(_groups_of)
-        yield from map(SegreCharacteristic, _splits(flat, (n, flat), groups_of))
+        yield from map(SegreCharacteristic, _splits(flat, _key(flat), groups_of))
 
 
 def enumerate_segre(n: int) -> list[SegreCharacteristic]:

@@ -101,6 +101,25 @@ def test_enumerate_text(capsys):
     assert capsys.readouterr().out == "\n".join(N4_EXPECTED + ["total: 14"]) + "\n"
 
 
+def test_enumerate_text_writes_each_line_once(monkeypatch):
+    # one write per line: with stdout unbuffered, each write is a system call
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["enumerate", "4"]) == 0
+    assert out.writes == [line + "\n" for line in N4_EXPECTED + ["total: 14"]]
+
+
 def test_enumerate_json(capsys):
     assert main(["enumerate", "6", "--format", "json"]) == 0
     out = capsys.readouterr().out

@@ -15,7 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from segrekit import (ExactMatrix, IrrationalEigenvalueError, JordanSpec,
                       SegreCharacteristic, analyze, build_jordan)
-from segrekit.linalg import _int_char_poly, _rational_roots
+from segrekit.linalg import (_horner, _int_char_poly, _integer_roots,
+                             _rational_roots)
 
 from oracles import divisor_rational_roots, fraction_rational_roots, poly_mul
 
@@ -106,6 +107,21 @@ def test_root_search_of_a_random_64x64_matrix():
     result, seconds = timed(_rational_roots, _int_char_poly(b))
     assert result == ([], 64)
     assert seconds < 1
+
+
+def test_lifted_residues_beyond_the_cauchy_bound_are_not_evaluated(monkeypatch):
+    # x^2 - 7 has the roots 1 and 2 modulo 3; lifted 3-adically, they are
+    # square roots of 7 far beyond the Cauchy bound 8, so neither can be an
+    # integer root, and the polynomial is evaluated only within the bound
+    points = []
+
+    def spy(coeffs, x):
+        points.append(x)
+        return _horner(coeffs, x)
+
+    monkeypatch.setattr("segrekit.linalg._horner", spy)
+    assert _integer_roots([-7, 0, 1]) == []
+    assert points and max(map(abs, points)) <= 8
 
 
 def test_irrational_square_root_near_10_to_18():

@@ -188,6 +188,24 @@ def test_group_order_preserved_but_equality_canonical():
     assert SegreCharacteristic([[1], [2]]) == SegreCharacteristic([[2], [1]])
 
 
+partitions_of_parts_1_to_5 = st.lists(
+    st.integers(min_value=1, max_value=5), min_size=1, max_size=5
+).map(lambda parts: sorted(parts, reverse=True))
+
+
+@given(st.lists(partitions_of_parts_1_to_5, min_size=1, max_size=6),
+       st.randoms())
+def test_canonical_order_matches_the_negated_key_reference(gs, rng):
+    s = SegreCharacteristic(gs)
+    canonical = tuple(g.parts for g in s.canonical().groups)
+    assert canonical == canonical_groups(gs)
+    shuffled = gs[:]
+    rng.shuffle(shuffled)
+    t = SegreCharacteristic(shuffled)
+    assert t == s
+    assert hash(t) == hash(s)
+
+
 def test_characteristic_validation():
     with pytest.raises(ValueError):
         SegreCharacteristic([])
