@@ -5,24 +5,13 @@ grouped by eigenvalue; it is a complete similarity invariant.  This
 package enumerates and counts the characteristics of a given weight,
 recovers them from concrete rational matrices with exact arithmetic, and
 draws the corresponding block structures.
-"""
 
-from .partitions import (Partition, enumerate_partitions,
-                         iter_partition_tuples, partition_count)
-from .segre import (SegreCharacteristic, SegreParseError, count_segre_gf,
-                    count_segre_sum, enumerate_segre, format_segre, iter_segre,
-                    parse_segre)
-from .rank_analysis import (NonMonotoneGrowthError, RankPattern,
-                            blocks_from_rank_pattern, nullity_growth,
-                            rank_pattern_from_blocks)
-from .linalg import (ExactMatrix, PolynomialZ, char_poly, mat_mul,
-                     matrix_from_json_dict, rank, rational_eigenvalues,
-                     shift)
-from .jordan import (AnalysisReport, EigenvalueReport,
-                     InternalInconsistencyError, IrrationalEigenvalueError,
-                     JordanSpec, analyze, build_jordan, rank_pattern_of)
-from .render import (StructureGrid, grid_of, render_ascii, render_ferrers,
-                     render_ferrers_conjugate_pair, render_svg)
+`import segrekit` imports none of its modules.  The first public name
+looked up on the package, or a module's name, imports the whole library
+and binds every name in __all__.  A module imported on its own (`python
+-m segrekit` runs cli, whose commands import what they run) loads only
+what it imports.
+"""
 
 __version__ = "0.1.0"
 
@@ -67,3 +56,36 @@ __all__ = [
     "render_svg",
     "shift",
 ]
+
+# a module's name loads the library too: after `from segrekit import cli`
+# a tool wrapping its functions (bench/tracing.py) finds every module
+_MODULES = ("cli", "jordan", "linalg", "partitions", "rank_analysis",
+            "render", "segre")
+
+
+def __getattr__(name):
+    # all modules at once, never one per name: analyze() needs nearly all
+    # of them, and would otherwise compile them inside its first call
+    if name not in __all__ and name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .partitions import (Partition, enumerate_partitions,
+                             iter_partition_tuples, partition_count)
+    from .segre import (SegreCharacteristic, SegreParseError, count_segre_gf,
+                        count_segre_sum, enumerate_segre, format_segre,
+                        iter_segre, parse_segre)
+    from .rank_analysis import (NonMonotoneGrowthError, RankPattern,
+                                blocks_from_rank_pattern, nullity_growth,
+                                rank_pattern_from_blocks)
+    from .linalg import (ExactMatrix, PolynomialZ, char_poly, mat_mul,
+                         matrix_from_json_dict, rank, rational_eigenvalues,
+                         shift)
+    from .jordan import (AnalysisReport, EigenvalueReport,
+                         InternalInconsistencyError, IrrationalEigenvalueError,
+                         JordanSpec, analyze, build_jordan, rank_pattern_of)
+    from .render import (StructureGrid, grid_of, render_ascii, render_ferrers,
+                         render_ferrers_conjugate_pair, render_svg)
+    public = locals()
+    globals().update((key, public[key]) for key in __all__)
+    if name not in globals():  # cli: `from segrekit import cli` imports it
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]

@@ -4,21 +4,13 @@ Subcommands: count, enumerate, analyze, render, rankpattern.  Results go
 to standard output (render also accepts --out), diagnostics to standard
 error.  Exit codes: 0 success, 2 usage or parse errors, 3 self-check
 mismatch, 4 irrational eigenvalues, 5 output I/O failure, 6 invalid rank
-pattern.
+pattern.  Each command imports only the library modules it runs.
 """
 
 import argparse
 import itertools
-import json
 import os
 import sys
-
-from .jordan import IrrationalEigenvalueError, JordanSpec, analyze
-from .linalg import matrix_from_json_dict
-from .rank_analysis import (NonMonotoneGrowthError, RankPattern,
-                            blocks_from_rank_pattern, nullity_growth)
-from .render import _ascii_lines, _svg_pieces, grid_of
-from .segre import count_segre_gf, count_segre_sum, format_segre, iter_segre
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -88,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_count(args) -> int:
+    from .segre import count_segre_gf, count_segre_sum
     if args.n < 0:
         return _fail("n must be >= 0", EXIT_USAGE)
     if args.n > MAX_WEIGHT:
@@ -95,7 +88,7 @@ def cmd_count(args) -> int:
     methods = {"gf": (count_segre_gf,), "sum": (count_segre_sum,),
                "both": (count_segre_gf, count_segre_sum)}[args.method]
     counts = [count(args.n) for count in methods]
-    print(*counts, sep="\n")
+    sys.stdout.write("".join(f"{c}\n" for c in counts))
     if len(set(counts)) > 1:
         return _fail("counting methods disagree: gf={} sum={}".format(*counts),
                      EXIT_MISMATCH)
@@ -103,10 +96,12 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .segre import format_segre, iter_segre
     if args.n < 1:
         return _fail("n must be >= 1", EXIT_USAGE)
     items = iter_segre(args.n)
     if args.format == "json":
+        import json
         # the bytes of json.dumps(list), 1024 items per write: a write per
         # item is a system call per item when stdout is unbuffered
         texts = map(format_segre, items)
@@ -124,6 +119,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    import json
+    from .jordan import IrrationalEigenvalueError, analyze
+    from .linalg import matrix_from_json_dict
     try:
         with open(args.matrix_file, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -151,17 +149,18 @@ def cmd_analyze(args) -> int:
     except IrrationalEigenvalueError as exc:
         return _fail(str(exc), EXIT_IRRATIONAL)
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
+        sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     else:
-        print(f"segre: {report.segre}")
-        for entry in report.per_eigenvalue:
-            print(f"eigenvalue {entry.eigenvalue}:")
-            print(f"  rank pattern: {entry.rank_pattern}")
-            print(f"  blocks: {entry.blocks}")
+        sys.stdout.write(f"segre: {report.segre}\n" + "".join(
+            f"eigenvalue {entry.eigenvalue}:\n"
+            f"  rank pattern: {entry.rank_pattern}\n"
+            f"  blocks: {entry.blocks}\n" for entry in report.per_eigenvalue))
     return EXIT_OK
 
 
 def cmd_render(args) -> int:
+    from .render import _ascii_lines, _grid, _svg_pieces
+    from .segre import count_segre_gf, format_segre, iter_segre
     if args.n < 1:
         return _fail("n must be >= 1", EXIT_USAGE)
     if args.n > MAX_WEIGHT:
@@ -172,12 +171,12 @@ def cmd_render(args) -> int:
     if args.format == "svg":
         # the header needs the grid count up front; _svg_pieces checks it
         # against the number of characteristics enumerated
-        pieces = _svg_pieces((grid_of(JordanSpec.positional(s)) for s in items),
+        pieces = _svg_pieces((_grid(s.groups) for s in items),
                              count_segre_gf(args.n), args.n, args.columns)
     else:
         pieces = (line + "\n" for i, s in enumerate(items)
                   for lines in ([("\n" if i else "") + format_segre(s)],
-                                _ascii_lines(grid_of(JordanSpec.positional(s))))
+                                _ascii_lines(_grid(s.groups)))
                   for line in lines)
     if not args.out:
         # a closed pipe raises BrokenPipeError here, which run() handles
@@ -192,6 +191,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_rankpattern(args) -> int:
+    from .rank_analysis import (NonMonotoneGrowthError, RankPattern,
+                                blocks_from_rank_pattern, nullity_growth)
     try:
         pattern = RankPattern.parse(args.pattern)
     except ValueError as exc:
@@ -204,8 +205,8 @@ def cmd_rankpattern(args) -> int:
     except NonMonotoneGrowthError as exc:
         return _fail(str(exc), EXIT_BAD_PATTERN)
     blocks = blocks_from_rank_pattern(pattern)
-    print("growth: [" + ",".join(map(str, growth)) + "]")
-    print(f"blocks: {blocks}")
+    sys.stdout.write("growth: [" + ",".join(map(str, growth))
+                     + f"]\nblocks: {blocks}\n")
     return EXIT_OK
 
 

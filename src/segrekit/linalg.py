@@ -29,10 +29,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
 
-
-class InternalInconsistencyError(RuntimeError):
-    """Two independent computations disagreed, or a division that exact
-    arithmetic guarantees left a remainder; indicates a bug, not bad input."""
+from .partitions import InternalInconsistencyError, _integer
 
 
 # the entry strings the README promises: an integer or "p/q", ASCII digits
@@ -51,18 +48,6 @@ def _as_fraction(value) -> Fraction:
         raise ValueError(
             f"entry strings must be an integer or 'p/q', got {value!r}")
     return Fraction(value)
-
-
-def _integer(value, name: str, least: int | None = None) -> int:
-    """`value` if it is an int, not a bool, and at least `least` (0 or 1,
-    when given); otherwise ValueError naming it.  The one check for every
-    count the library takes: n, parts, ranks, shapes, runs, columns."""
-    if (isinstance(value, int) and not isinstance(value, bool)
-            and (least is None or value >= least)):
-        return value
-    kind = {None: "an integer", 0: "a non-negative integer",
-            1: "a positive integer"}[least]
-    raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 class ExactMatrix:

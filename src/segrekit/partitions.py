@@ -1,14 +1,30 @@
 """Integer partitions: the building blocks of a Segre characteristic.
 
 A partition of n is a non-increasing sequence of positive integers summing
-to n.  Everything here is exact integer arithmetic; counts are arbitrary
-precision.
+to n; counts are exact and arbitrary precision.  The bottom layer, this
+module also holds the count check and InternalInconsistencyError that
+the other modules use.
 """
 
 import threading
 from collections.abc import Iterable, Iterator
 
-from .linalg import _integer
+
+class InternalInconsistencyError(RuntimeError):
+    """Two independent computations disagreed, or a division that exact
+    arithmetic guarantees left a remainder; indicates a bug, not bad input."""
+
+
+def _integer(value, name: str, least: int | None = None) -> int:
+    """`value` if it is an int, not a bool, and at least `least` (0 or 1,
+    when given); otherwise ValueError naming it.  The one check for every
+    count the library takes: n, parts, ranks, shapes, runs, columns."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and (least is None or value >= least)):
+        return value
+    kind = {None: "an integer", 0: "a non-negative integer",
+            1: "a positive integer"}[least]
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 class Partition:

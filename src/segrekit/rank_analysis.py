@@ -14,8 +14,7 @@ which serves as an independent oracle for rank computations.
 import re
 from collections.abc import Iterable
 
-from .linalg import _integer
-from .partitions import Partition
+from .partitions import Partition, _integer
 
 
 class NonMonotoneGrowthError(ValueError):

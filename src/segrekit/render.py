@@ -10,9 +10,7 @@ SVG output is byte deterministic: same input, same bytes.
 import string
 from collections import namedtuple
 
-from .jordan import JordanSpec
-from .linalg import InternalInconsistencyError, _integer
-from .partitions import Partition
+from .partitions import InternalInconsistencyError, Partition, _integer
 
 CELL_PX = 16
 GUTTER_PX = 8
@@ -43,10 +41,14 @@ class StructureGrid(namedtuple("StructureGrid", "runs")):
         return max(group for _, group in self.runs)
 
 
-def grid_of(spec: JordanSpec) -> StructureGrid:
-    """Structure grid of build_jordan(spec); group i colors its blocks."""
+def grid_of(spec) -> StructureGrid:
+    """Structure grid of build_jordan(spec), spec a jordan.JordanSpec."""
+    return _grid(spec.segre.groups)
+
+
+def _grid(groups) -> StructureGrid:
     return StructureGrid(tuple((size, index) for index, group
-                               in enumerate(spec.segre.groups, start=1)
+                               in enumerate(groups, start=1)
                                for size in group.parts))
 
 

@@ -12,8 +12,8 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from operator import mul
 
-from .linalg import InternalInconsistencyError, _integer
-from .partitions import Partition, iter_partition_tuples, partition_count
+from .partitions import (InternalInconsistencyError, Partition, _integer,
+                         iter_partition_tuples, partition_count)
 
 
 def _key(parts: tuple) -> tuple:

@@ -101,7 +101,7 @@ def test_enumerate_text(capsys):
     assert capsys.readouterr().out == "\n".join(N4_EXPECTED + ["total: 14"]) + "\n"
 
 
-def test_enumerate_text_writes_each_line_once(monkeypatch):
+def test_enumerate_text_writes_each_line_once(monkeypatch, tmp_path):
     # one write per line: with stdout unbuffered, each write is a system call
     class Recorder:
         def __init__(self):
@@ -118,6 +118,18 @@ def test_enumerate_text_writes_each_line_once(monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["enumerate", "4"]) == 0
     assert out.writes == [line + "\n" for line in N4_EXPECTED + ["total: 14"]]
+    # one write for the whole output of count, rankpattern and analyze,
+    # whose bytes the tests of each command check
+    matrix = write_matrix(tmp_path, WORKED_MATRIX_JSON)
+    for argv, head in [(["count", "11"], "1527\n"),
+                       (["count", "11", "--method", "both"], "1527\n1527\n"),
+                       (["rankpattern", "n=10: 10,7,5,3,2,1,0"], "growth: "),
+                       (["analyze", matrix], "segre: [(3),(2,1),(2,1),(1)]\n"),
+                       (["analyze", matrix, "--format", "json"], "{\n")]:
+        out.writes.clear()
+        assert main(argv) == 0
+        assert len(out.writes) == 1, argv
+        assert out.writes[0].startswith(head), argv
 
 
 def test_enumerate_json(capsys):
@@ -445,15 +457,46 @@ def test_render_1000_streams_one_row_at_a_time():
     assert head.startswith(b'<?xml version="1.0" encoding="UTF-8"?>\n')
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    # the two cost about 10 ms of every segre process; -S keeps the .pth
-    # files of site-packages from importing them first
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import segrekit.cli; "
-            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
-    done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
-                          capture_output=True, text=True, timeout=30)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "False False\n"
+# what each command loads: the segrekit modules besides the package and
+# cli, and which of the stdlib modules in WATCHED
+LIBRARY = {"partitions", "segre", "rank_analysis", "linalg", "jordan"}
+FOOTPRINTS = [
+    (["count", "5"], {"partitions", "segre"}, set()),
+    (["count", "5", "--method", "both"], {"partitions", "segre"}, set()),
+    (["enumerate", "4"], {"partitions", "segre"}, set()),
+    (["enumerate", "4", "--format", "json"], {"partitions", "segre"}, {"json"}),
+    (["render", "3"], {"partitions", "segre", "render"}, set()),
+    (["render", "3", "--format", "ascii"], {"partitions", "segre", "render"},
+     set()),
+    (["rankpattern", "n=3: 3,1,0"], {"partitions", "rank_analysis"}, set()),
+    (["analyze", "MATRIX"], LIBRARY, {"fractions", "json"}),
+    (["analyze", "MATRIX", "--format", "json"], LIBRARY, {"fractions", "json"}),
+]
+WATCHED = {"fractions", "json", "dataclasses", "inspect"}
+
+
+def test_cli_import_skips_dataclasses_and_inspect(tmp_path):
+    # a process compiles only the modules its command runs; -S keeps the
+    # .pth files of site-packages from importing stdlib modules first
+    matrix = write_matrix(tmp_path, WORKED_MATRIX_JSON)
+    code = ("import runpy, sys\n"
+            "sys.path.insert(0, sys.argv.pop(1))\n"
+            "try:\n"
+            "    runpy.run_module('segrekit', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "loaded = sorted(sys.modules)\n"
+            "print(code, *loaded)\n")
+    for argv, modules, stdlib in FOOTPRINTS:
+        argv = [matrix if a == "MATRIX" else a for a in argv]
+        done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC), *argv],
+                              capture_output=True, text=True, timeout=30)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+        exit_code, *loaded = done.stdout.splitlines()[-1].split()
+        assert exit_code == "0", argv
+        assert {m for m in loaded if m.startswith("segrekit")} == {
+            "segrekit", "segrekit.cli", *(f"segrekit.{m}" for m in modules)}, argv
+        assert WATCHED.intersection(loaded) == stdlib, argv
 
 
 def test_weight_is_capped():
