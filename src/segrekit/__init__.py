@@ -68,8 +68,9 @@ def __getattr__(name):
     # of them, and would otherwise compile them inside its first call
     if name not in __all__ and name not in _MODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .partitions import (Partition, enumerate_partitions,
-                             iter_partition_tuples, partition_count)
+    from .partitions import (InternalInconsistencyError, Partition,
+                             enumerate_partitions, iter_partition_tuples,
+                             partition_count)
     from .segre import (SegreCharacteristic, SegreParseError, count_segre_gf,
                         count_segre_sum, enumerate_segre, format_segre,
                         iter_segre, parse_segre)
@@ -80,8 +81,8 @@ def __getattr__(name):
                          matrix_from_json_dict, rank, rational_eigenvalues,
                          shift)
     from .jordan import (AnalysisReport, EigenvalueReport,
-                         InternalInconsistencyError, IrrationalEigenvalueError,
-                         JordanSpec, analyze, build_jordan, rank_pattern_of)
+                         IrrationalEigenvalueError, JordanSpec, analyze,
+                         build_jordan, rank_pattern_of)
     from .render import (StructureGrid, grid_of, render_ascii, render_ferrers,
                          render_ferrers_conjugate_pair, render_svg)
     public = locals()

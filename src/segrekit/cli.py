@@ -233,17 +233,20 @@ def run() -> None:
     """Console script entry point.
 
     A reader that closes the pipe early (`segre enumerate 12 | head -1`)
-    ends the run quietly with exit code 0.
+    ends the run quietly with exit code 0.  Any other failure to write
+    standard output (a full disk, /dev/full) ends it with one error line
+    and exit code 5.
     """
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         # the interpreter flushes stdout again at exit; point it at devnull
         # so that flush cannot fail too (recipe from the `signal` docs)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        code = EXIT_OK
+        code = EXIT_OK if isinstance(exc, BrokenPipeError) else _fail(
+            f"cannot write standard output: {exc.strerror}", EXIT_IO)
     sys.exit(code)
 
 

@@ -12,10 +12,10 @@ no power of N is ever formed.
 from collections import namedtuple
 from fractions import Fraction
 
-from .linalg import (ExactMatrix, InternalInconsistencyError, shift,
-                     _as_fraction, _eliminate, _int_char_poly, _kernel,
-                     _preimage, _primitive, _rational_roots, _replay,
-                     _scaled_rows)
+from .linalg import (ExactMatrix, shift, _as_fraction, _eliminate,
+                     _int_char_poly, _kernel, _preimage, _primitive,
+                     _rational_roots, _replay, _scaled_rows)
+from .partitions import InternalInconsistencyError
 from .rank_analysis import RankPattern, blocks_from_rank_pattern
 from .segre import SegreCharacteristic
 

@@ -6,9 +6,10 @@ itself is done by an integer core: a matrix is scaled once to d*A, with d
 the lcm of its entry denominators, and from then on every kernel runs on
 lists of rows of Python ints.  Products take inner products with
 sum(map(mul, row, col)).  Ranks come from fraction-free Bareiss
-elimination, recorded so that its row operations can be replayed on more
-columns and its echelon back-substituted, which jordan's rank patterns
-use; characteristic polynomials come from a Hessenberg reduction
+elimination done column by column, each column replayed through the
+steps recorded so far; jordan's rank patterns replay more columns
+through the same record and back-substitute its echelon.
+Characteristic polynomials come from a Hessenberg reduction
 modulo primes just below 2**62, combined by the Chinese remainder theorem
 up to a Hadamard-type bound on the coefficients.  That polynomial is
 monic, so its rational roots are integers; the same primes give its
@@ -219,80 +220,56 @@ def _eliminate(rows: list[list[int]]) -> list[tuple]:
     not modified, recorded so that its row operations T can be replayed on
     other columns.  The number of steps is the rank of N.
 
-    Each step eliminates the first column of the active block against the
-    first row with a nonzero entry there and divides by the previous pivot,
-    which Sylvester's determinant identity makes exact, so entries stay
-    integers no larger than minors of the input; rows that become zero
-    (zero rows of N at the first step) leave the active block.  A step is
-    (the pivot's position among the active rows, U's row from the pivot
-    column on, the heads of the other active rows, the positions of the
-    rows that became zero).  T is invertible, and T*N is the echelon U of
-    the pivot rows over zero rows.  So for a column v, T*v splits into its
-    top (the pivot rows) and its residual (the rest), and the residual is
-    zero exactly when v lies in the column space im N.  Every division is
-    checked.
+    The elimination is left-looking: each column of N in turn is replayed
+    through the steps recorded so far, its top extends the pivot rows of U,
+    and the first nonzero entry of its residual, if any, becomes the next
+    pivot, the rest of the residual that step's heads.  A step is (the
+    pivot's position among the rows without a pivot yet, U's row from the
+    pivot column on, the heads).  T is invertible, and T*N is the echelon U
+    of the pivot rows over zero rows.  So for a column v, T*v splits into
+    its residual (the rows without a pivot) and its top (the pivot rows),
+    and the residual is zero exactly when v lies in the column space im N.
     """
-    active = list(rows)
     steps = []
-    prev = 1
-    while active and active[0]:
-        heads = [row[0] for row in active]
-        if not any(heads):
-            active = [row[1:] for row in active]
-            continue
-        at = heads.index(next(filter(None, heads)))
-        piv = heads.pop(at)
-        pivot_row = active.pop(at)
-        tail = pivot_row[1:]
-        tail_sum = sum(tail)
-        nxt, dropped = [], []
-        for row, head in zip(active, heads):
-            if prev == 1:
-                vals = [x * piv - head * y for x, y in zip(row[1:], tail)]
-            else:
-                vals = [(x * piv - head * y) // prev
-                        for x, y in zip(row[1:], tail)]
-                # the numerators sum to piv*sum(row[1:]) - head*sum(tail);
-                # floor remainders share the divisor's sign, so the
-                # quotients sum to that over prev only if all are exact
-                if (prev * sum(vals)
-                        != piv * (sum(row) - head) - head * tail_sum):
-                    raise InternalInconsistencyError(
-                        "Bareiss division must be exact")
-            if any(vals):
-                nxt.append(vals)
-            else:
-                dropped.append(len(nxt) + len(dropped))
-        steps.append((at, pivot_row, heads, dropped))
-        active = nxt
-        prev = piv
+    for column in zip(*rows):
+        x = _replay(steps, column)
+        k = len(x) - len(steps)
+        for (_, pivot_row, _), y in zip(steps, x[k:]):
+            pivot_row.append(y)
+        del x[k:]
+        if any(x):
+            at = x.index(next(filter(None, x)))
+            steps.append((at, [x.pop(at)], x))
     return steps
 
 
-def _replay(steps: list[tuple], v: list[int]) -> list[int]:
+def _replay(steps: list[tuple], v: Sequence[int]) -> list[int]:
     """T*v for an integer column v, not modified, as its residual (the rows
     without a pivot, n - r of them) followed by its top (the pivot rows, in
     pivot order).  This is the elimination of N with v appended as a column
-    that is never a pivot, so its divisions are Bareiss divisions too."""
-    x, top, residual = list(v), [], []
+    that is never a pivot: each step divides by the previous pivot, which
+    Sylvester's determinant identity makes exact, so every entry is a minor
+    of [N | v].  Every division is checked."""
+    x, top = list(v), []
     prev = 1
-    for at, pivot_row, heads, dropped in steps:
+    for at, pivot_row, heads in steps:
         piv = pivot_row[0]
         xp = x.pop(at)
         top.append(xp)
         if prev == 1:
             x = [piv * y - h * xp for y, h in zip(x, heads)]
+            s = sum(x)  # the sum of x, kept for the next step's check
         else:
-            total = piv * sum(x) - xp * sum(heads)
+            total = piv * (s - xp) - xp * sum(heads)
             x = [(piv * y - h * xp) // prev for y, h in zip(x, heads)]
-            if prev * sum(x) != total:  # as in the elimination
+            s = sum(x)
+            # floor remainders share the divisor's sign, so the quotients
+            # sum to the numerators' sum over prev only if all are exact
+            if prev * s != total:
                 raise InternalInconsistencyError(
                     "Bareiss division must be exact")
-        for i in reversed(dropped):
-            residual.append(x.pop(i))
         prev = piv
-    # rows are left in x only when N has no pivot, that is N = 0
-    return residual + x + top
+    return x + top
 
 
 def _back_substitute(steps: list[tuple], x: list[int],
@@ -300,7 +277,7 @@ def _back_substitute(steps: list[tuple], x: list[int],
     """x, whose free entries are set, with its pivot entries filled in so
     that U*x = rhs, made primitive."""
     n = len(x)
-    for (_, row, _, _), b in zip(reversed(steps), reversed(rhs)):
+    for (_, row, _), b in zip(reversed(steps), reversed(rhs)):
         c = n - len(row)
         q, rem = divmod(b - sum(map(mul, row[1:], x[c + 1:])), row[0])
         if rem:

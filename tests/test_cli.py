@@ -283,6 +283,27 @@ def test_closed_stdout_pipe_ends_quietly():
     assert first_line_then_close(["enumerate", "14"], 60) == (b"[(14)]\n", 0, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, where every write fails")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["count", "5"], ["enumerate", "4"], ["render", "3"],
+    ["rankpattern", "n=3: 3,1,0"], ["analyze", None]])
+def test_failed_stdout_write_is_one_error_line(tmp_path, argv, unbuffered):
+    # unbuffered, the command's own write fails; buffered, the flush in run()
+    argv = [a or write_matrix(tmp_path, WORKED_MATRIX_JSON) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "segrekit", *argv],
+                              env=env, stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=30)
+    assert (done.returncode, done.stderr) == (
+        5, "error: cannot write standard output: No space left on device\n")
+
+
 def test_enumerate_streams_its_first_line():
     # 71,832,114 characteristics of weight 30: only a streaming enumeration
     # can print the first one at once

@@ -2,17 +2,19 @@
 the powers of N = b - mu*I, Gaussian elimination over Fraction and the
 closed form of a Jordan structure."""
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from segrekit import (ExactMatrix, InternalInconsistencyError, JordanSpec,
                       Partition, SegreCharacteristic, build_jordan, jordan,
                       linalg, rank_pattern_from_blocks, rank_pattern_of)
 
-from oracles import fraction_rank_pattern, rank_pattern_by_powers
+from oracles import (fraction_det, fraction_rank_pattern, gaussian_rank,
+                     rank_pattern_by_powers)
 
 BIG = 10 ** 18
 
@@ -182,3 +184,71 @@ def test_replay_checks_its_divisions():
     assert linalg._replay(steps, [0, 0, 1]) == [0, 0, 3]
     with pytest.raises(InternalInconsistencyError):
         linalg._replay(steps, [0, 0, Fraction(1, 2)])
+
+
+@st.composite
+def rectangular_cases(draw):
+    """(N, v): N of 1..6 rows and 1..6 columns with some rows zero or
+    multiples of others and some columns zero, and a column v that is a
+    combination of N's columns or arbitrary."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    for i in range(m):
+        how = draw(st.sampled_from(["keep", "zero", "repeat"]))
+        if how == "zero":
+            rows[i] = [0] * n
+        elif how == "repeat":
+            c, j = draw(st.integers(-2, 2)), draw(st.integers(0, m - 1))
+            rows[i] = [c * x for x in rows[j]]
+    for j in draw(st.sets(st.integers(0, n - 1))):
+        for row in rows:
+            row[j] = 0
+    if draw(st.booleans()):
+        cs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        v = [sum(map(operator.mul, row, cs)) for row in rows]
+    else:
+        v = draw(st.lists(entry, min_size=m, max_size=m))
+    return rows, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(rectangular_cases())
+@example(([[0]], [0]))
+@example(([[0]], [1]))
+@example(([[0, 0], [0, 0], [0, 0]], [0, 5, 0]))
+def test_elimination_against_rank_and_minor_oracles(case):
+    rows, v = case
+    m, n = len(rows), len(rows[0])
+    given_rows = [list(row) for row in rows]
+    steps = linalg._eliminate(rows)
+    assert rows == given_rows
+    r = len(steps)
+    assert r == gaussian_rank(rows)
+    # the pivot rows in pivot order, from each step's position among the
+    # rows without a pivot, and the pivot columns
+    free, pivot_rows = list(range(m)), []
+    for at, _, _ in steps:
+        pivot_rows.append(free.pop(at))
+    pivot_cols = [n - len(pivot_row) for _, pivot_row, _ in steps]
+
+    def minor(k, i, column):
+        """The Bareiss minor on pivot rows 0..k-1 and row i, pivot columns
+        0..k-1 and `column`."""
+        return fraction_det([[rows[p][c] for c in pivot_cols[:k]] + [column[p]]
+                             for p in pivot_rows[:k] + [i]])
+
+    for k, (_, pivot_row, _) in enumerate(steps):
+        for t, u in enumerate(pivot_row):
+            column = [row[pivot_cols[k] + t] for row in rows]
+            assert u == minor(k, pivot_rows[k], column)
+    for column in zip(*rows):
+        assert not any(linalg._replay(steps, column)[:m - r])
+    before = list(v)
+    x = linalg._replay(steps, v)
+    assert v == before
+    assert x == [minor(r, i, v) for i in free] + [
+        minor(k, p, v) for k, p in enumerate(pivot_rows)]
+    assert (not any(x[:m - r])) == (
+        gaussian_rank([row + [y] for row, y in zip(rows, v)]) == r)
