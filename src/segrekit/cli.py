@@ -8,7 +8,6 @@ pattern.  Each command imports only the library modules it runs.
 """
 
 import argparse
-import itertools
 import os
 import sys
 
@@ -21,6 +20,7 @@ EXIT_BAD_PATTERN = 6
 
 MAX_PATTERN_DIMENSION = 10**6  # rankpattern prints up to n block sizes
 MAX_WEIGHT = 10**4  # count and render allocate and sum n + 1 counts
+WRITE_CHARS = 2**16  # enumerate and render join output into writes this long
 
 
 def _fail(message: str, code: int) -> int:
@@ -95,26 +95,48 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _write(out, pieces) -> None:
+    """Write and flush the first of `pieces` at once, so that a reader sees
+    output start, then the rest joined about WRITE_CHARS characters per
+    write: with stdout unbuffered, each write is a system call."""
+    pieces = iter(pieces)
+    out.write(next(pieces, ""))
+    out.flush()
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= WRITE_CHARS:
+            out.write("".join(batch))
+            batch, size = [], 0
+    if batch:
+        out.write("".join(batch))
+
+
+def _lines(texts):
+    total = 0
+    for total, text in enumerate(texts, 1):
+        yield text + "\n"
+    yield f"total: {total}\n"
+
+
+def _json_list(texts):
+    # the bytes of json.dumps(list(texts)), one item per piece
+    from json.encoder import encode_basestring_ascii as quote
+    sep = "["
+    for text in texts:
+        yield sep + quote(text)
+        sep = ", "
+    yield "]\n"
+
+
 def cmd_enumerate(args) -> int:
-    from .segre import format_segre, iter_segre
+    from .segre import _texts
     if args.n < 1:
         return _fail("n must be >= 1", EXIT_USAGE)
-    items = iter_segre(args.n)
-    if args.format == "json":
-        import json
-        # the bytes of json.dumps(list), 1024 items per write: a write per
-        # item is a system call per item when stdout is unbuffered
-        texts = map(format_segre, items)
-        sep = "["
-        while batch := list(itertools.islice(texts, 1024)):
-            sys.stdout.write(sep + json.dumps(batch)[1:-1])
-            sep = ", "
-        sys.stdout.write("]\n")
-    else:
-        total = 0
-        for total, s in enumerate(items, 1):
-            sys.stdout.write(format_segre(s) + "\n")
-        sys.stdout.write(f"total: {total}\n")
+    texts = _texts(args.n)
+    _write(sys.stdout, _json_list(texts) if args.format == "json"
+           else _lines(texts))
     return EXIT_OK
 
 
@@ -180,11 +202,11 @@ def cmd_render(args) -> int:
                   for line in lines)
     if not args.out:
         # a closed pipe raises BrokenPipeError here, which run() handles
-        sys.stdout.writelines(pieces)
+        _write(sys.stdout, pieces)
         return EXIT_OK
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+            _write(fh, pieces)
     except OSError as exc:
         return _fail(f"cannot write {args.out}: {exc}", EXIT_IO)
     return EXIT_OK

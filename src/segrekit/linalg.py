@@ -225,21 +225,23 @@ def _eliminate(rows: list[list[int]]) -> list[tuple]:
     and the first nonzero entry of its residual, if any, becomes the next
     pivot, the rest of the residual that step's heads.  A step is (the
     pivot's position among the rows without a pivot yet, U's row from the
-    pivot column on, the heads).  T is invertible, and T*N is the echelon U
-    of the pivot rows over zero rows.  So for a column v, T*v splits into
-    its residual (the rows without a pivot) and its top (the pivot rows),
-    and the residual is zero exactly when v lies in the column space im N.
+    pivot column on, the heads, their sum).  T is invertible, and T*N is
+    the echelon U of the pivot rows over zero rows.  So for a column v, T*v
+    splits into its residual (the rows without a pivot) and its top (the
+    pivot rows), and the residual is zero exactly when v lies in the
+    column space im N.
     """
     steps = []
     for column in zip(*rows):
         x = _replay(steps, column)
         k = len(x) - len(steps)
-        for (_, pivot_row, _), y in zip(steps, x[k:]):
+        for (_, pivot_row, _, _), y in zip(steps, x[k:]):
             pivot_row.append(y)
         del x[k:]
         if any(x):
             at = x.index(next(filter(None, x)))
-            steps.append((at, [x.pop(at)], x))
+            pivot = x.pop(at)
+            steps.append((at, [pivot], x, sum(x)))
     return steps
 
 
@@ -252,7 +254,7 @@ def _replay(steps: list[tuple], v: Sequence[int]) -> list[int]:
     of [N | v].  Every division is checked."""
     x, top = list(v), []
     prev = 1
-    for at, pivot_row, heads in steps:
+    for at, pivot_row, heads, heads_sum in steps:
         piv = pivot_row[0]
         xp = x.pop(at)
         top.append(xp)
@@ -260,7 +262,7 @@ def _replay(steps: list[tuple], v: Sequence[int]) -> list[int]:
             x = [piv * y - h * xp for y, h in zip(x, heads)]
             s = sum(x)  # the sum of x, kept for the next step's check
         else:
-            total = piv * (s - xp) - xp * sum(heads)
+            total = piv * (s - xp) - xp * heads_sum
             x = [(piv * y - h * xp) // prev for y, h in zip(x, heads)]
             s = sum(x)
             # floor remainders share the divisor's sign, so the quotients
@@ -277,7 +279,7 @@ def _back_substitute(steps: list[tuple], x: list[int],
     """x, whose free entries are set, with its pivot entries filled in so
     that U*x = rhs, made primitive."""
     n = len(x)
-    for (_, row, _), b in zip(reversed(steps), reversed(rhs)):
+    for (_, row, _, _), b in zip(reversed(steps), reversed(rhs)):
         c = n - len(row)
         q, rem = divmod(b - sum(map(mul, row[1:], x[c + 1:])), row[0])
         if rem:

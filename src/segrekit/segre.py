@@ -43,6 +43,14 @@ class SegreCharacteristic:
         self._canonical_parts = tuple(sorted(
             (g.parts for g in gs), key=_key, reverse=True))
 
+    @classmethod
+    def _from_canonical(cls, groups: tuple) -> "SegreCharacteristic":
+        # groups already a tuple of non-empty Partitions in canonical order
+        self = object.__new__(cls)
+        self._groups = groups
+        self._canonical_parts = tuple([g.parts for g in groups])
+        return self
+
     @property
     def groups(self) -> tuple[Partition, ...]:
         return self._groups
@@ -76,11 +84,13 @@ class SegreCharacteristic:
         return f"SegreCharacteristic({[list(g.parts) for g in self._groups]!r})"
 
 
+def _group_text(parts: tuple) -> str:
+    return "(" + ",".join(map(str, parts)) + ")"
+
+
 def format_segre(s: SegreCharacteristic) -> str:
     """Render as text, every group parenthesized: "[(2,1),(3),(1),(2,1)]"."""
-    return "[" + ",".join(
-        "(" + ",".join(map(str, g.parts)) + ")" for g in s.groups
-    ) + "]"
+    return "[" + ",".join(_group_text(g.parts) for g in s.groups) + "]"
 
 
 class SegreParseError(ValueError):
@@ -160,37 +170,55 @@ def parse_segre(text: str) -> SegreCharacteristic:
     return SegreCharacteristic(groups)
 
 
+# the most `rest` tuples whose candidate groups one run keeps: all 351
+# that occur through n = 15; at n = 22, where 3,473 occur, an unbounded
+# memo took 42 MB of peak RSS and this bound about 20 MB
+_MEMO_SIZE = 256
+
+
 def _groups_of(rest: tuple) -> list:
-    """The distinct non-empty sub-multisets of the descending tuple `rest`,
-    each as (_key(parts), Partition, what is left of rest), largest key
-    first."""
+    """The distinct non-empty sub-multisets of the descending tuple `rest`
+    that can head one of its splits, each as (_key(parts), (Partition,
+    its text), what is left of rest), largest key first.  A group heads a
+    split only if what is left can still be split below it, as singletons
+    headed by its largest part."""
     values = sorted(set(rest), reverse=True)
     counts = [rest.count(v) for v in values]
+    floor = _key(rest[:1])
     found = []
     for take in itertools.product(*(range(c + 1) for c in counts)):
         parts = tuple(v for v, t in zip(values, take) for _ in range(t))
-        if parts:
-            left = tuple(v for v, c, t in zip(values, counts, take)
-                         for _ in range(c - t))
-            found.append((_key(parts), Partition(parts), left))
+        if _key(parts) < floor:
+            continue
+        group = Partition(parts)
+        left = tuple(v for v, c, t in zip(values, counts, take)
+                     for _ in range(c - t))
+        # a key of the Partition's own parts: the memo holds one copy
+        found.append((_key(group.parts), (group, _group_text(parts)), left))
     return sorted(found, key=lambda c: c[0], reverse=True)
 
 
 def _splits(rest: tuple, bound: tuple, groups_of) -> Iterator[tuple]:
-    # splits of `rest` into groups with non-increasing _key(parts), none
-    # above `bound`, descending; a group is kept only if what is left can
-    # still be split below it, as singletons headed by its largest part
-    if not rest:
-        yield ()
-        return
-    floor = _key(rest[:1])
+    # splits of a non-empty `rest` into groups with non-increasing
+    # _key(parts), none above `bound`, descending
     for key, group, left in groups_of(rest):
         if key > bound:
             continue
-        if key < floor:
-            break
-        for tail in _splits(left, key, groups_of):
-            yield (group,) + tail
+        if left:
+            for tail in _splits(left, key, groups_of):
+                yield (group,) + tail
+        else:
+            yield (group,)
+
+
+def _iter_splits(n: int) -> Iterator[tuple]:
+    """The canonical group sequences of weight n in iter_segre's order, each
+    a tuple of (Partition, its text) pairs.  One memo of _groups_of serves
+    the whole run: its sub-multisets recur across flattened partitions."""
+    _integer(n, "n", 1)
+    groups_of = lru_cache(maxsize=_MEMO_SIZE)(_groups_of)
+    for flat in iter_partition_tuples(n):
+        yield from _splits(flat, _key(flat), groups_of)
 
 
 def iter_segre(n: int) -> Iterator[SegreCharacteristic]:
@@ -202,11 +230,15 @@ def iter_segre(n: int) -> Iterator[SegreCharacteristic]:
     split into groups depth first, candidates taken in that order, so each
     form is built once and in place.  There are count_segre_gf(n) items.
     """
-    _integer(n, "n", 1)
-    for flat in iter_partition_tuples(n):
-        # one memo per flattened partition: its sub-multisets recur often
-        groups_of = lru_cache(maxsize=None)(_groups_of)
-        yield from map(SegreCharacteristic, _splits(flat, _key(flat), groups_of))
+    for split in _iter_splits(n):
+        groups, _ = zip(*split)
+        yield SegreCharacteristic._from_canonical(groups)
+
+
+def _texts(n: int) -> Iterator[str]:
+    """format_segre of each item of iter_segre(n), in order."""
+    for split in _iter_splits(n):
+        yield "[" + ",".join([text for _, text in split]) + "]"
 
 
 def enumerate_segre(n: int) -> list[SegreCharacteristic]:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from segrekit import cli
 from segrekit.cli import main
 from segrekit.segre import format_segre, iter_segre
 
@@ -102,22 +103,51 @@ def test_enumerate_text(capsys):
 
 
 def test_enumerate_text_writes_each_line_once(monkeypatch, tmp_path):
-    # one write per line: with stdout unbuffered, each write is a system call
+    # the first piece of output in a write of its own, so that a reader
+    # sees it at once, then the rest in batches of about cli.WRITE_CHARS
+    # characters: with stdout unbuffered, each write is a system call
     class Recorder:
         def __init__(self):
-            self.writes = []
+            self.writes, self.flushes = [], []
 
         def write(self, text):
             self.writes.append(text)
             return len(text)
 
         def flush(self):
-            pass
+            self.flushes.append(len(self.writes))
 
     out = Recorder()
     monkeypatch.setattr(sys, "stdout", out)
+    lines = [line + "\n" for line in N4_EXPECTED + ["total: 14"]]
+    # flushed after the first piece, which a block-buffered stdout would
+    # otherwise hold back until its buffer fills
     assert main(["enumerate", "4"]) == 0
-    assert out.writes == [line + "\n" for line in N4_EXPECTED + ["total: 14"]]
+    assert out.flushes == [1]
+    # with a batch of one character each piece is a write of its own:
+    # enumerate's pieces are its lines; render's are the SVG header, then
+    # each grid's opening tag, rows and frame, then the footer.  Either
+    # output of n = 4 is shorter than one batch of the default size.
+    default = cli.WRITE_CHARS
+    for argv in (["enumerate", "4"], ["render", "4"]):
+        writes = {}
+        for chars in (1, 64, default):
+            monkeypatch.setattr(cli, "WRITE_CHARS", chars)
+            out.writes.clear()
+            assert main(argv) == 0
+            writes[chars] = out.writes[:]
+        pieces, batched = writes[1], writes[64]
+        assert batched[0] == pieces[0], argv
+        assert "".join(batched[1:]) == "".join(pieces[1:]), argv
+        longest = max(map(len, pieces))
+        assert all(len(w) < 64 + longest for w in batched[1:]), argv
+        assert all(len(w) >= 64 for w in batched[1:-1]), argv
+        assert writes[default] == [pieces[0], "".join(pieces[1:])], argv
+        if argv[0] == "enumerate":
+            assert pieces == lines
+        else:
+            assert pieces[0].startswith("<?xml") and "<g" not in pieces[0]
+            assert len(batched) > 2
     # one write for the whole output of count, rankpattern and analyze,
     # whose bytes the tests of each command check
     matrix = write_matrix(tmp_path, WORKED_MATRIX_JSON)
@@ -323,6 +353,30 @@ def test_enumerate_json_is_json_dumps_of_the_list(capsys):
         assert main(["enumerate", str(n), "--format", "json"]) == 0
         want = json.dumps([format_segre(s) for s in iter_segre(n)]) + "\n"
         assert capsys.readouterr().out == want, n
+
+# SHA-256 of `segre enumerate n --format F`, copied from the benchmark's
+# references in bench/expected.json, which an earlier enumeration recorded
+ENUMERATE_DIGESTS = {
+    (10, "text"): "a5bcde8b410a9a62cee26171e3abde791810339a7ddb8ce8248efbcfbae7ba98",
+    (10, "json"): "5a6e1ed273ce7b059ef79e95a706c14991641554b4e092e7e38d299745b1801b",
+    (11, "text"): "b29e1296bcb23fe2db77ddcf9fe17d3f9259575c2768cac4a65008d293c47352",
+    (11, "json"): "12a67f47198c8be63e39b43a8be7a105dc4d11eb6bc15b39ff7ebeb2bc1eecf1",
+    (12, "text"): "baa272feab65a8ab7b68b05b00de31043e430342309a219de8f6f94d0dd03662",
+    (12, "json"): "4c787001b6f527e869439d00b4e19e241864a7c1d980bcfb5913aa73c7ba8711",
+    (13, "text"): "9f12c1dfb660690b0f68a194bb429d52329b7f8fc59b7b36175bc550245f01e0",
+    (13, "json"): "4a998e7796e699052d2db584d44356fe61daba3af6a82a5f919a837c4494a4be",
+}
+
+
+def test_enumerate_output_matches_goldens():
+    # unbuffered, every batch of the writer is a write of its own
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")
+    for (n, fmt), digest in ENUMERATE_DIGESTS.items():
+        argv = ["enumerate", str(n), "--format", fmt]
+        done = subprocess.run([sys.executable, "-m", "segrekit", *argv],
+                              env=env, capture_output=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, b""), argv
+        assert hashlib.sha256(done.stdout).hexdigest() == digest, argv
 
 
 def test_analyze_rejects_entry_strings_outside_the_grammar(tmp_path, capsys):

@@ -229,9 +229,10 @@ def test_elimination_against_rank_and_minor_oracles(case):
     # the pivot rows in pivot order, from each step's position among the
     # rows without a pivot, and the pivot columns
     free, pivot_rows = list(range(m)), []
-    for at, _, _ in steps:
+    for at, _, heads, heads_sum in steps:
         pivot_rows.append(free.pop(at))
-    pivot_cols = [n - len(pivot_row) for _, pivot_row, _ in steps]
+        assert heads_sum == sum(heads)
+    pivot_cols = [n - len(pivot_row) for _, pivot_row, _, _ in steps]
 
     def minor(k, i, column):
         """The Bareiss minor on pivot rows 0..k-1 and row i, pivot columns
@@ -239,7 +240,7 @@ def test_elimination_against_rank_and_minor_oracles(case):
         return fraction_det([[rows[p][c] for c in pivot_cols[:k]] + [column[p]]
                              for p in pivot_rows[:k] + [i]])
 
-    for k, (_, pivot_row, _) in enumerate(steps):
+    for k, (_, pivot_row, _, _) in enumerate(steps):
         for t, u in enumerate(pivot_row):
             column = [row[pivot_cols[k] + t] for row in rows]
             assert u == minor(k, pivot_rows[k], column)

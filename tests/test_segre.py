@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from segrekit import (Partition, SegreCharacteristic, SegreParseError,
                       count_segre_gf, count_segre_sum, enumerate_segre,
                       format_segre, iter_partition_tuples, iter_segre,
-                      parse_segre, partition_count)
+                      parse_segre, partition_count, segre)
 
 from oracles import (brute_force_segre_multisets, canonical_groups,
                      multipartitions, segre_by_dedup_and_sort)
@@ -126,6 +126,43 @@ def test_iter_segre_rejects_bad_n():
     for bad in (0, -1, True, 2.0):
         with pytest.raises(ValueError):
             next(iter_segre(bad))
+
+
+def test_texts_match_the_dedup_and_sort_reference(monkeypatch):
+    for n in range(1, 10):
+        want = [format_segre(SegreCharacteristic(groups))
+                for groups in segre_by_dedup_and_sort(n)]
+        assert list(segre._texts(n)) == want, n
+    # a memo of four entries evicts all the time, and changes nothing
+    monkeypatch.setattr(segre, "_MEMO_SIZE", 4)
+    for n in range(1, 10):
+        assert list(segre._texts(n)) == [format_segre(s)
+                                         for s in enumerate_segre(n)], n
+
+
+def test_texts_match_format_segre_of_iter_segre():
+    for n in range(1, 14):
+        assert list(segre._texts(n)) == [format_segre(s)
+                                         for s in iter_segre(n)], n
+
+
+def test_enumerated_records_match_checked_construction():
+    for n in range(1, 11):
+        for s in iter_segre(n):
+            checked = SegreCharacteristic([list(g.parts) for g in s.groups])
+            assert s == checked and hash(s) == hash(checked)
+            assert repr(s) == repr(checked) and str(s) == str(checked)
+            assert s.groups == checked.groups
+            assert s.total_weight == checked.total_weight == n
+            assert s.canonical() == checked.canonical()
+            assert repr(s.canonical()) == repr(checked.canonical())
+
+
+def test_fast_paths_are_lazy_and_check_n_on_first_item():
+    for fast in (iter_segre, segre._texts):
+        items = fast(2.5)
+        with pytest.raises(ValueError):
+            next(items)
 
 
 def test_enumerate_golden_n4():
