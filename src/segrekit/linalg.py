@@ -7,26 +7,30 @@ the lcm of its entry denominators, and from then on every kernel runs on
 lists of rows of Python ints.  Products take inner products with
 sum(map(mul, row, col)).  Ranks come from fraction-free Bareiss
 elimination done column by column, each column replayed through the
-steps recorded so far; jordan's rank patterns replay more columns
-through the same record and back-substitute its echelon.
+steps recorded so far, where a step with a zero multiplier only defers a
+rescale; jordan's rank patterns replay more columns through the same
+record and back-substitute its echelon.
 Characteristic polynomials come from a Hessenberg reduction
 modulo primes just below 2**62, combined by the Chinese remainder theorem
-up to a Hadamard-type bound on the coefficients.  That polynomial is
-monic, so its rational roots are integers; the same primes give its
-square-free part by a modular gcd proven by exact division, whose roots
-modulo a small prime are lifted p-adically, in time polynomial in the bit
-size of the coefficients, and each root's multiplicity comes from
-division by x - y until a remainder is left.  Every exactness the integer
-arithmetic relies on is checked, and a failed check raises
-InternalInconsistencyError, which python -O does not remove.  The public
-functions taking an ExactMatrix are thin wrappers over these kernels.
+up to a Hadamard-type bound on the coefficients, which proves them; the
+reconstructions before it are offered as unproven candidates, which
+jordan.analyze accepts only when its rank patterns certify them.  The
+polynomial is monic, so its rational roots are integers; the same primes
+give its square-free part by a modular gcd proven by exact division,
+whose roots modulo a small prime are lifted p-adically, in time
+polynomial in the bit size of the coefficients, and each root's
+multiplicity comes from division by x - y until a remainder is left.
+Every exactness the integer arithmetic relies on is checked, and a failed
+check raises InternalInconsistencyError, which python -O does not remove.
+The public functions taking an ExactMatrix are thin wrappers over these
+kernels.
 """
 
 import itertools
 import math
 import re
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from operator import mul
 
@@ -251,26 +255,44 @@ def _replay(steps: list[tuple], v: Sequence[int]) -> list[int]:
     pivot order).  This is the elimination of N with v appended as a column
     that is never a pivot: each step divides by the previous pivot, which
     Sylvester's determinant identity makes exact, so every entry is a minor
-    of [N | v].  Every division is checked."""
+    of [N | v].  Every division is checked.
+
+    A step whose multiplier x_at is zero only scales x by piv/prev, so it
+    is deferred: x is left as it was after the last step with a nonzero
+    multiplier, whose pivot is `base`, and the steps so far give
+    x*prev/base.  The next nonzero step divides by base instead of prev,
+    which is the same exact quotient, and the pending scale is applied
+    once, at the end.  A run of zero multipliers then costs no pass over
+    x at all."""
     x, top = list(v), []
-    prev = 1
+    prev = base = 1
     for at, pivot_row, heads, heads_sum in steps:
         piv = pivot_row[0]
         xp = x.pop(at)
-        top.append(xp)
-        if prev == 1:
+        if not xp:
+            top.append(0)
+            prev = piv
+            continue
+        # the entry after the steps so far; x itself lags behind them
+        entry, rem = divmod(xp * prev, base)
+        top.append(entry)
+        if base == 1:
             x = [piv * y - h * xp for y, h in zip(x, heads)]
             s = sum(x)  # the sum of x, kept for the next step's check
         else:
             total = piv * (s - xp) - xp * heads_sum
-            x = [(piv * y - h * xp) // prev for y, h in zip(x, heads)]
+            x = [(piv * y - h * xp) // base for y, h in zip(x, heads)]
             s = sum(x)
             # floor remainders share the divisor's sign, so the quotients
-            # sum to the numerators' sum over prev only if all are exact
-            if prev * s != total:
+            # sum to the numerators' sum over base only if all are exact
+            if rem or base * s != total:
                 raise InternalInconsistencyError(
                     "Bareiss division must be exact")
-        prev = piv
+        prev = base = piv
+    if prev != base:
+        x = [y * prev // base for y in x]
+        if base != 1 and base * sum(x) != prev * s:
+            raise InternalInconsistencyError("Bareiss division must be exact")
     return x + top
 
 
@@ -419,16 +441,23 @@ def _crt(xs: list[int], modulus: int, rs: list[int], p: int) -> list[int]:
     return [y - m if y > m // 2 else y for y in ys]
 
 
-def _int_char_poly(b: list[list[int]]) -> list[int]:
-    """Coefficients of det(xI - b), lowest degree first, for a square integer
-    matrix b: the coefficients mod the primes _prime(0), _prime(1), ... are
-    combined by the Chinese remainder theorem with symmetric residues (von
-    zur Gathen and Gerhard, Modern Computer Algebra, ch. 5) until the modulus
-    exceeds 2 * prod_i (1 + ceil(|row_i(b)|_2)).  That is more than twice
-    every |c_{n-k}|: c_{n-k} is a signed sum of the k x k principal minors,
-    Hadamard bounds the minor on rows S by prod_{i in S} |row_i|, and those
-    products sum to the k-th elementary symmetric function of the row norms,
-    one of the nonnegative terms of prod_i (1 + |row_i|).
+def _char_polys(b: list[list[int]]) -> Iterator[tuple[list[int], bool]]:
+    """Candidates for the coefficients of det(xI - b), lowest degree first,
+    for a square integer matrix b, each as (coefficients, proven).
+
+    The coefficients mod the primes _prime(0), _prime(1), ... are combined
+    by the Chinese remainder theorem with symmetric residues (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 5).  An unproven
+    candidate is yielded after the first prime, and again whenever one
+    more prime leaves the reconstruction unchanged; the last candidate,
+    proven, once the modulus exceeds 2 * prod_i (1 + ceil(|row_i(b)|_2)).
+    That is more than twice every |c_{n-k}|: c_{n-k} is a signed sum of the
+    k x k principal minors, Hadamard bounds the minor on rows S by
+    prod_{i in S} |row_i|, and those products sum to the k-th elementary
+    symmetric function of the row norms, one of the nonnegative terms of
+    prod_i (1 + |row_i|).  An unproven candidate is the answer only if
+    the caller certifies it; once the answer fits in the modulus, every
+    later reconstruction equals it.
     """
     n = len(b)
     bound = 2
@@ -436,16 +465,26 @@ def _int_char_poly(b: list[list[int]]) -> list[int]:
         s = sum(x * x for x in row)
         if s:
             bound *= math.isqrt(s - 1) + 2  # 1 + ceil(sqrt(s))
-    coeffs, modulus, i = [0] * (n + 1), 1, 0
-    while modulus <= bound:
+    coeffs, modulus = [0] * (n + 1), 1
+    for i in itertools.count():
         p = _prime(i)
-        i += 1
-        coeffs = _crt(coeffs, modulus, _char_poly_mod(b, p), p)
+        new = _crt(coeffs, modulus, _char_poly_mod(b, p), p)
         modulus *= p
-    if coeffs[n - 1] != -sum(row[k] for k, row in enumerate(b)):
+        if modulus > bound:
+            break
+        if not i or new == coeffs:
+            yield new, False
+        coeffs = new
+    if new[n - 1] != -sum(row[k] for k, row in enumerate(b)):
         raise InternalInconsistencyError(
             "characteristic polynomial must have c_{n-1} = -trace")
-    return coeffs
+    yield new, True
+
+
+def _int_char_poly(b: list[list[int]]) -> list[int]:
+    """Coefficients of det(xI - b), lowest degree first: the proven
+    candidate of _char_polys."""
+    return next(coeffs for coeffs, proven in _char_polys(b) if proven)
 
 
 class PolynomialZ:

@@ -176,12 +176,14 @@ def parse_segre(text: str) -> SegreCharacteristic:
 _MEMO_SIZE = 256
 
 
-def _groups_of(rest: tuple) -> list:
+def _groups_of(rest: tuple, made: dict) -> list:
     """The distinct non-empty sub-multisets of the descending tuple `rest`
     that can head one of its splits, each as (_key(parts), (Partition,
     its text), what is left of rest), largest key first.  A group heads a
     split only if what is left can still be split below it, as singletons
-    headed by its largest part."""
+    headed by its largest part.  `made` maps parts to the (key, (Partition,
+    text)) already built for them, so a group that recurs across rests is
+    built once."""
     values = sorted(set(rest), reverse=True)
     counts = [rest.count(v) for v in values]
     floor = _key(rest[:1])
@@ -190,11 +192,14 @@ def _groups_of(rest: tuple) -> list:
         parts = tuple(v for v, t in zip(values, take) for _ in range(t))
         if _key(parts) < floor:
             continue
-        group = Partition(parts)
+        group = made.get(parts)
+        if group is None:
+            # keyed by the Partition's own parts: the table holds one copy
+            p = Partition(parts)
+            group = made[p.parts] = (_key(p.parts), (p, _group_text(parts)))
         left = tuple(v for v, c, t in zip(values, counts, take)
                      for _ in range(c - t))
-        # a key of the Partition's own parts: the memo holds one copy
-        found.append((_key(group.parts), (group, _group_text(parts)), left))
+        found.append((*group, left))
     return sorted(found, key=lambda c: c[0], reverse=True)
 
 
@@ -213,10 +218,13 @@ def _splits(rest: tuple, bound: tuple, groups_of) -> Iterator[tuple]:
 
 def _iter_splits(n: int) -> Iterator[tuple]:
     """The canonical group sequences of weight n in iter_segre's order, each
-    a tuple of (Partition, its text) pairs.  One memo of _groups_of serves
-    the whole run: its sub-multisets recur across flattened partitions."""
+    a tuple of (Partition, its text) pairs.  One memo of _groups_of and
+    one table of the groups it built serve the whole run: its sub-multisets
+    recur across flattened partitions."""
     _integer(n, "n", 1)
-    groups_of = lru_cache(maxsize=_MEMO_SIZE)(_groups_of)
+    made = {}
+    groups_of = lru_cache(maxsize=_MEMO_SIZE)(
+        lambda rest: _groups_of(rest, made))
     for flat in iter_partition_tuples(n):
         yield from _splits(flat, _key(flat), groups_of)
 

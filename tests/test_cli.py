@@ -227,6 +227,20 @@ def test_analyze_irrational(tmp_path, capsys):
     assert "irrational" in err
 
 
+def test_analyze_irrational_from_the_first_prime(tmp_path, capsys):
+    # x^2 - 2 conjugated by I + c*e_01: the first prime already gives the
+    # polynomial, unproven, and the proven one exits 4 with the same line
+    c = 10 ** 10
+    path = write_matrix(tmp_path, {"rows": 2, "cols": 2,
+                                   "entries": [[c, 2 - c * c], [1, -c]]})
+    assert main(["analyze", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: matrix has irrational or non-real eigenvalues "
+        "(irreducible remainder of degree 2)\n")
+
+
 def test_analyze_input_errors(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "absent.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

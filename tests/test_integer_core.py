@@ -136,9 +136,15 @@ def test_exactness_checks_survive_python_O():
         cases = [
             lambda: linalg._replay(
                 linalg._eliminate([[2, 1, 0], [1, 2, 1], [0, 1, 2]]),
-                [0, 0, Fraction(1, 2)]),
+                [Fraction(1, 2), 0, 0]),
+            # a zero multiplier at the last step: the check is the one of
+            # the scale deferred to the end
+            lambda: linalg._replay(
+                linalg._eliminate([[2, 1], [1, 2], [0, 1]]),
+                [2, 1, Fraction(1, 2)]),
             lambda: linalg._int_char_poly([[1, 2], [3, 4]]),
-            lambda: linalg._eliminate([[2, 1, 0], [1, 2, 1],
+            # column 2 has a nonzero multiplier at step 0, so step 1 divides
+            lambda: linalg._eliminate([[2, 1, 1], [1, 2, 1],
                                        [Fraction(1, 3), 1, 2]]),
             # [0, 1] is T*u only for u = (0, 1/2), not for an integer u
             lambda: linalg._preimage(linalg._eliminate([[2, 1], [1, 2]]), 2,
@@ -166,4 +172,4 @@ def test_exactness_checks_survive_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["raised"] * 6
+    assert done.stdout.split() == ["raised"] * 7

@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from segrekit import jordan
+from segrekit import jordan, linalg
 from segrekit import (ExactMatrix, InternalInconsistencyError,
                       IrrationalEigenvalueError, JordanSpec, Partition,
                       RankPattern, SegreCharacteristic, analyze, build_jordan,
@@ -220,10 +221,74 @@ def test_internal_inconsistency_is_runtime_error():
 def test_stop_at_multiplicity_keeps_the_cross_check(monkeypatch, rows):
     a = ExactMatrix.from_rows(rows)
     analyze(a)
-    # (x - 1)(x - 2)^2, where the truth is (x - 1)^2 (x - 2)
-    monkeypatch.setattr(jordan, "_int_char_poly", lambda b: [-4, 8, -5, 1])
+    # (x - 1)(x - 2)^2, where the truth is (x - 1)^2 (x - 2), as the proven
+    # polynomial
+    monkeypatch.setattr(jordan, "_char_polys",
+                        lambda b: iter([([-4, 8, -5, 1], True)]))
     with pytest.raises(InternalInconsistencyError):
         analyze(a)
+
+
+def spy_on_root_searches(monkeypatch):
+    searched = []
+    search = jordan._rational_roots
+    monkeypatch.setattr(jordan, "_rational_roots", lambda f: searched.append(
+        list(f)) or search(f))
+    return searched
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+    [[1, 1, 0], [0, 1, 0], [0, 0, 2]],
+    # an entry of 10**30 asks for two primes, though no coefficient needs
+    # more than one
+    [[1, 10 ** 30, 0], [0, 1, 0], [0, 0, 2]],
+])
+@pytest.mark.parametrize("wrong", [
+    [-4, 8, -5, 1],  # (x - 1)(x - 2)^2: splits, but a ladder misses its m
+    [-2, 1, -2, 1],  # (x - 2)(x^2 + 1): a remainder of degree 2
+])
+def test_a_wrong_unproven_polynomial_gives_way(monkeypatch, rows, wrong):
+    a = ExactMatrix.from_rows(rows)
+    expected = analyze(a)
+    candidates = jordan._char_polys
+    monkeypatch.setattr(jordan, "_char_polys", lambda b: itertools.chain(
+        [(wrong, False)], candidates(b)))
+    searched = spy_on_root_searches(monkeypatch)
+    report = analyze(a)
+    assert report == expected
+    assert repr(report) == repr(expected)
+    assert searched == [wrong, [-2, 5, -4, 1]]
+
+
+def test_certified_first_prime_polynomial_skips_the_rest(monkeypatch):
+    # the bound asks for two primes; the first one's polynomial is
+    # certified by the ladders, so the second is never computed
+    residues = []
+    char_poly_mod = linalg._char_poly_mod
+    monkeypatch.setattr(linalg, "_char_poly_mod", lambda b, p: residues.append(
+        p) or char_poly_mod(b, p))
+    a = ExactMatrix.from_rows([[1, 10 ** 30, 0], [0, 1, 0], [0, 0, 2]])
+    assert str(analyze(a).segre) == "[(2),(1)]"
+    assert residues == [linalg._prime(0)]
+    assert [proven for _, proven in linalg._char_polys(
+        [[1, 10 ** 30, 0], [0, 1, 0], [0, 0, 2]])] == [False, True]
+
+
+def test_a_failed_polynomial_is_not_run_again(monkeypatch):
+    # x^2 - 2 conjugated by I + c*e_01: entries near c^2 put the bound at
+    # two primes, and the first prime's polynomial is already right; it
+    # fails once, unproven, and its error is the proven polynomial's
+    c = 10 ** 10
+    a = ExactMatrix.from_rows([[c, 2 - c * c], [1, -c]])
+    searched = spy_on_root_searches(monkeypatch)
+    with pytest.raises(IrrationalEigenvalueError) as exc_info:
+        analyze(a)
+    assert str(exc_info.value) == (
+        "matrix has irrational or non-real eigenvalues "
+        "(irreducible remainder of degree 2)")
+    assert exc_info.value.remainder_degree == 2
+    assert searched == [[-2, 0, 1]]
 
 
 def test_rank_pattern_of_runs_to_stabilization():

@@ -182,15 +182,24 @@ def test_growing_increment_is_an_internal_error(monkeypatch):
 def test_replay_checks_its_divisions():
     steps = linalg._eliminate([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
     assert linalg._replay(steps, [0, 0, 1]) == [0, 0, 3]
+    # step 1 divides by the pivot 2 of step 0
     with pytest.raises(InternalInconsistencyError):
-        linalg._replay(steps, [0, 0, Fraction(1, 2)])
+        linalg._replay(steps, [Fraction(1, 2), 0, 0])
+    # step 1 of [[2, 1], [1, 2], [0, 1]] has the multiplier 2*1 - 1*2 = 0,
+    # so it is deferred, and the residual is scaled by 3/2 at the end
+    steps = linalg._eliminate([[2, 1], [1, 2], [0, 1]])
+    assert linalg._replay(steps, [2, 1, 1]) == [3, 2, 0]
+    with pytest.raises(InternalInconsistencyError):
+        linalg._replay(steps, [2, 1, Fraction(1, 2)])
 
 
 @st.composite
 def rectangular_cases(draw):
     """(N, v): N of 1..6 rows and 1..6 columns with some rows zero or
     multiples of others and some columns zero, and a column v that is a
-    combination of N's columns or arbitrary."""
+    combination of N's columns, arbitrary, or one whose replay has zero
+    multipliers at the steps j..k: v is zero on the pivot rows of steps
+    0..k, plus a combination of the pivot columns of steps before j."""
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     entry = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
@@ -205,11 +214,24 @@ def rectangular_cases(draw):
     for j in draw(st.sets(st.integers(0, n - 1))):
         for row in rows:
             row[j] = 0
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["combination", "arbitrary", "zero run"]))
+    if kind == "combination":
         cs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-        v = [sum(map(operator.mul, row, cs)) for row in rows]
-    else:
-        v = draw(st.lists(entry, min_size=m, max_size=m))
+        return rows, [sum(map(operator.mul, row, cs)) for row in rows]
+    v = draw(st.lists(entry, min_size=m, max_size=m))
+    steps = linalg._eliminate(rows)
+    if kind == "arbitrary" or not steps:
+        return rows, v
+    free = list(range(m))
+    pivot_rows = [free.pop(at) for at, _, _, _ in steps]
+    pivot_cols = [n - len(pivot_row) for _, pivot_row, _, _ in steps]
+    j = draw(st.integers(0, len(steps) - 1))
+    k = draw(st.integers(j, len(steps) - 1))
+    for p in pivot_rows[:k + 1]:
+        v[p] = 0
+    for col in pivot_cols[:j]:
+        c = draw(st.integers(-3, 3))
+        v = [y + c * row[col] for y, row in zip(v, rows)]
     return rows, v
 
 
@@ -218,6 +240,11 @@ def rectangular_cases(draw):
 @example(([[0]], [0]))
 @example(([[0]], [1]))
 @example(([[0, 0], [0, 0], [0, 0]], [0, 5, 0]))
+# zero multipliers at step 0 (no division follows), at step 1 of 3, and
+# at the last step, whose scale is applied to the residual at the end
+@example(([[2, 1, 0], [1, 2, 1], [0, 1, 2], [1, 1, 1]], [0, 0, 3, 5]))
+@example(([[2, 1, 0], [1, 2, 1], [0, 1, 2], [1, 1, 1]], [2, 1, 7, 5]))
+@example(([[2, 1], [1, 2], [0, 1], [3, 5]], [2, 1, 1, -4]))
 def test_elimination_against_rank_and_minor_oracles(case):
     rows, v = case
     m, n = len(rows), len(rows[0])

@@ -140,6 +140,22 @@ def test_texts_match_the_dedup_and_sort_reference(monkeypatch):
                                          for s in enumerate_segre(n)], n
 
 
+@pytest.mark.parametrize("memo_size", [4, 256])
+def test_each_group_is_built_once_per_run(monkeypatch, memo_size):
+    # groups recur across the rests of a run, evicted from the memo or not
+    monkeypatch.setattr(segre, "_MEMO_SIZE", memo_size)
+    built = []
+    partition = segre.Partition
+    monkeypatch.setattr(segre, "Partition",
+                        lambda parts: built.append(parts) or partition(parts))
+    texts = list(segre._texts(12))
+    monkeypatch.undo()
+    assert texts == [format_segre(s) for s in iter_segre(12)]
+    assert len(built) == len(set(built))
+    groups = {g.parts for s in iter_segre(12) for g in s.groups}
+    assert groups <= set(built)
+
+
 def test_texts_match_format_segre_of_iter_segre():
     for n in range(1, 14):
         assert list(segre._texts(n)) == [format_segre(s)
