@@ -121,22 +121,21 @@ def _lines(texts):
 
 
 def _json_list(texts):
-    # the bytes of json.dumps(list(texts)), one item per piece
-    from json.encoder import encode_basestring_ascii as quote
-    sep = "["
+    # the bytes of json.dumps(list(texts)), one item per piece: Segre text
+    # is digits, commas, parentheses and brackets, none of them escaped
+    sep = '["'
     for text in texts:
-        yield sep + quote(text)
-        sep = ", "
-    yield "]\n"
+        yield sep + text
+        sep = '", "'
+    yield '"]\n' if sep != '["' else "[]\n"
 
 
 def cmd_enumerate(args) -> int:
     from .segre import _texts
     if args.n < 1:
         return _fail("n must be >= 1", EXIT_USAGE)
-    texts = _texts(args.n)
-    _write(sys.stdout, _json_list(texts) if args.format == "json"
-           else _lines(texts))
+    _write(sys.stdout, (_json_list if args.format == "json" else _lines)(
+        _texts(args.n)))
     return EXIT_OK
 
 

@@ -6,11 +6,11 @@ their characteristics agree, so enumerating characteristics enumerates
 similarity classes.
 """
 
-import itertools
 import math
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
-from operator import mul
+from functools import lru_cache, partial
+from operator import itemgetter, mul
 
 from .partitions import (InternalInconsistencyError, Partition, _integer,
                          iter_partition_tuples, partition_count)
@@ -110,123 +110,125 @@ def parse_segre(text: str) -> SegreCharacteristic:
     is ignored.  Group order is preserved.  Malformed text, a part too long
     for int() among it, raises SegreParseError.
     """
-    pos = 0
-    n = len(text)
+    import re
+    # runs of ASCII digits and other non-space characters, each with its
+    # offset, then "" at the end of the text
+    tokens = [(m.start(), m[0]) for m in re.finditer(r"[0-9]+|\S", text)]
+    tokens.append((len(text), ""))
+    i = 0
 
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
+    def take(want: str) -> bool:
+        nonlocal i
+        if tokens[i][1] != want:
+            return False
+        i += 1
+        return True
 
-    def expect(ch: str) -> None:
-        nonlocal pos
-        skip_ws()
-        if pos >= n or text[pos] != ch:
-            raise SegreParseError(f"expected {ch!r}", pos)
-        pos += 1
+    def expect(want: str) -> None:
+        if not take(want):
+            raise SegreParseError(f"expected {want!r}", tokens[i][0])
 
-    def parse_int() -> int:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < n and "0" <= text[pos] <= "9":
-            pos += 1
-        if pos == start:
-            raise SegreParseError("expected an integer", start)
+    def part() -> int:
+        nonlocal i
+        at, digits = tokens[i]
+        if not "0" <= digits[:1] <= "9":
+            raise SegreParseError("expected an integer", at)
         try:
-            value = int(text[start:pos])
+            value = int(digits)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise SegreParseError("integer too long", start) from None
+            raise SegreParseError("integer too long", at) from None
         if value < 1:
-            raise SegreParseError("parts must be >= 1", start)
+            raise SegreParseError("parts must be >= 1", at)
+        i += 1
         return value
 
-    def parse_group() -> Partition:
-        nonlocal pos
-        skip_ws()
-        if pos < n and text[pos] == "(":
-            pos += 1
-            parts = [parse_int()]
-            skip_ws()
-            while pos < n and text[pos] == ",":
-                pos += 1
-                parts.append(parse_int())
-                skip_ws()
-            expect(")")
-            return Partition(parts)
-        return Partition([parse_int()])
+    def group() -> Partition:
+        if not take("("):
+            return Partition([part()])
+        parts = [part()]
+        while take(","):
+            parts.append(part())
+        expect(")")
+        return Partition(parts)
 
     expect("[")
-    groups = [parse_group()]
-    skip_ws()
-    while pos < n and text[pos] == ",":
-        pos += 1
-        groups.append(parse_group())
-        skip_ws()
+    groups = [group()]
+    while take(","):
+        groups.append(group())
     expect("]")
-    skip_ws()
-    if pos != n:
-        raise SegreParseError("trailing characters", pos)
+    if tokens[i][1]:
+        raise SegreParseError("trailing characters", tokens[i][0])
     return SegreCharacteristic(groups)
 
 
-# the most `rest` tuples whose candidate groups one run keeps: all 351
-# that occur through n = 15; at n = 22, where 3,473 occur, an unbounded
-# memo took 42 MB of peak RSS and this bound about 20 MB
+# the most `rest` tuples whose candidate groups one run keeps: all through
+# n = 15; at n = 22 (2,003 rests) peak RSS is 18 MB, and 26 MB unbounded
 _MEMO_SIZE = 256
 
+# a rest of at most this weight is light: a run builds the completions of
+# each light rest once, so the table of them is bounded by this, not by n
+_LIGHT = 8
 
-def _groups_of(rest: tuple, made: dict) -> list:
+
+def _groups_of(rest: tuple, made: dict, pieces) -> list:
     """The distinct non-empty sub-multisets of the descending tuple `rest`
-    that can head one of its splits, each as (_key(parts), (Partition,
-    its text), what is left of rest), largest key first.  A group heads a
-    split only if what is left can still be split below it, as singletons
-    headed by its largest part.  `made` maps parts to the (key, (Partition,
-    text)) already built for them, so a group that recurs across rests is
-    built once."""
-    values = sorted(set(rest), reverse=True)
-    counts = [rest.count(v) for v in values]
-    floor = _key(rest[:1])
-    found = []
-    for take in itertools.product(*(range(c + 1) for c in counts)):
-        parts = tuple(v for v, t in zip(values, take) for _ in range(t))
-        if _key(parts) < floor:
+    after which what is left still splits into singleton groups no larger,
+    each as (_key(parts), its two pieces, what is left), smallest key
+    first.  `made` holds each group's key and pieces, built once a run."""
+    found = [((), (), 0)]  # (parts, left, weight of parts), in one pass
+    for v in dict.fromkeys(rest):
+        c = rest.count(v)
+        runs = [((v,) * t, (v,) * (c - t), v * t) for t in range(c + 1)]
+        found = [(parts + p, left + q, w + u)
+                 for parts, left, w in found for p, q, u in runs]
+    top = rest[:1]
+    groups = []
+    for parts, left, w in found:
+        # at least _key(top): heavier than rest's largest part, or it alone
+        if w <= top[0] and parts != top:
             continue
         group = made.get(parts)
         if group is None:
-            # keyed by the Partition's own parts: the table holds one copy
+            # keyed by the Partition's own parts, so `made` holds one copy
             p = Partition(parts)
-            group = made[p.parts] = (_key(p.parts), (p, _group_text(parts)))
-        left = tuple(v for v, c, t in zip(values, counts, take)
-                     for _ in range(c - t))
-        found.append((*group, left))
-    return sorted(found, key=lambda c: c[0], reverse=True)
+            group = made[p.parts] = (_key(p.parts), *pieces(p))
+        groups.append((*group, left))
+    groups.sort(key=itemgetter(0))
+    return groups
 
 
-def _splits(rest: tuple, bound: tuple, groups_of) -> Iterator[tuple]:
-    # splits of a non-empty `rest` into groups with non-increasing
-    # _key(parts), none above `bound`, descending
-    for key, group, left in groups_of(rest):
-        if key > bound:
-            continue
-        if left:
-            for tail in _splits(left, key, groups_of):
-                yield (group,) + tail
-        else:
-            yield (group,)
-
-
-def _iter_splits(n: int) -> Iterator[tuple]:
-    """The canonical group sequences of weight n in iter_segre's order, each
-    a tuple of (Partition, its text) pairs.  One memo of _groups_of and
-    one table of the groups it built serve the whole run: its sub-multisets
-    recur across flattened partitions."""
+def _walk(n: int, first, pieces) -> Iterator:
+    """Each canonical group sequence of weight n in iter_segre's order, as
+    `first` plus pieces(Partition)[0] of each group, [1] of the last one,
+    built depth first with the prefix carried.  The memo of _groups_of, the
+    groups built and the table of light rests' completions are local."""
     _integer(n, "n", 1)
-    made = {}
+    made, table, light, key_of = {}, {}, _LIGHT, itemgetter(0)
     groups_of = lru_cache(maxsize=_MEMO_SIZE)(
-        lambda rest: _groups_of(rest, made))
+        partial(_groups_of, made=made, pieces=pieces))
+
+    def walk(rest, hi, weight, prefix):
+        # (prefix, completions) pairs from the candidates below hi, largest
+        # first; i counts left's candidates with keys at most this one's
+        for key, mid, last, left in reversed(groups_of(rest)[:hi]):
+            if not left:
+                yield prefix, (last,)
+                continue
+            i = bisect_right(groups_of(left), key, key=key_of)
+            w = weight - key[0]
+            if w > light:
+                yield from walk(left, i, w, prefix + mid)
+                continue
+            got = table.get((left, i))
+            if got is None:
+                pairs = walk(left, i, w, first[:0])  # an empty prefix
+                got = table[left, i] = [p + t for p, ts in pairs for t in ts]
+            yield prefix + mid, got
+
     for flat in iter_partition_tuples(n):
-        yield from _splits(flat, _key(flat), groups_of)
+        for prefix, tails in walk(flat, None, n, first):
+            for tail in tails:
+                yield prefix + tail
 
 
 def iter_segre(n: int) -> Iterator[SegreCharacteristic]:
@@ -238,15 +240,14 @@ def iter_segre(n: int) -> Iterator[SegreCharacteristic]:
     split into groups depth first, candidates taken in that order, so each
     form is built once and in place.  There are count_segre_gf(n) items.
     """
-    for split in _iter_splits(n):
-        groups, _ = zip(*split)
-        yield SegreCharacteristic._from_canonical(groups)
+    return map(SegreCharacteristic._from_canonical,
+               _walk(n, (), lambda p: ((p,), (p,))))
 
 
 def _texts(n: int) -> Iterator[str]:
     """format_segre of each item of iter_segre(n), in order."""
-    for split in _iter_splits(n):
-        yield "[" + ",".join([text for _, text in split]) + "]"
+    return _walk(n, "[", lambda p: (_group_text(p.parts) + ",",
+                                    _group_text(p.parts) + "]"))
 
 
 def enumerate_segre(n: int) -> list[SegreCharacteristic]:

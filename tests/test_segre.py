@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -172,6 +173,39 @@ def test_enumerated_records_match_checked_construction():
             assert s.total_weight == checked.total_weight == n
             assert s.canonical() == checked.canonical()
             assert repr(s.canonical()) == repr(checked.canonical())
+
+
+@pytest.mark.parametrize("light", [0, 30])
+def test_walk_matches_the_references_with_no_table_or_all_table(
+        monkeypatch, light):
+    # 0 keeps no completions at all; 30 keeps those of every rest below the
+    # flattened partition that heads each run
+    monkeypatch.setattr(segre, "_LIGHT", light)
+    for n in range(1, 10):
+        want = segre_by_dedup_and_sort(n)
+        got = [tuple(g.parts for g in s.groups) for s in iter_segre(n)]
+        assert got == want, n
+        assert list(segre._texts(n)) == [
+            format_segre(SegreCharacteristic(groups)) for groups in want], n
+    for n in range(1, 14):
+        assert list(segre._texts(n)) == [format_segre(s)
+                                         for s in iter_segre(n)], n
+
+
+@pytest.mark.parametrize("light", [5, segre._LIGHT])
+def test_the_table_keeps_only_light_rests(monkeypatch, light):
+    # the table is local to the walk; read it from the frame of the walk,
+    # paused before its last item
+    monkeypatch.setattr(segre, "_LIGHT", light)
+    items = segre._texts(16)
+    for _ in itertools.islice(items, count_segre_gf(16) - 1):
+        pass
+    table = items.gi_frame.f_locals["table"]
+    assert table
+    for rest, hi in table:
+        assert rest == tuple(sorted(rest, reverse=True)) and sum(rest) <= light
+        assert 0 < hi <= len(segre._groups_of(rest, {}, lambda p: ()))
+    assert list(items) == ["[" + ",".join(["(1)"] * 16) + "]"]
 
 
 def test_fast_paths_are_lazy_and_check_n_on_first_item():
