@@ -7,9 +7,9 @@ mismatch, 4 irrational eigenvalues, 5 output I/O failure, 6 invalid rank
 pattern.  Each command imports only the library modules it runs.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -32,51 +32,8 @@ def _integer(text: str) -> int:
     # -?[0-9]+ only: int() also takes non-ASCII digits, padding, "+" and "_"
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(
-            f"invalid integer {text!r}: use ASCII digits 0-9")
+        raise ValueError(f"invalid integer {text!r}: use ASCII digits 0-9")
     return int(text)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="segre",
-        description="Enumerate, count, analyze, and draw Jordan structures "
-                    "(Segre characteristics) with exact arithmetic.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_count = sub.add_parser(
-        "count", help="number of equivalence classes of n x n structures")
-    p_count.add_argument("n", type=_integer)
-    p_count.add_argument("--method", choices=("gf", "sum", "both"),
-                         default="gf",
-                         help="generating function, partition sum, or both "
-                              "(both cross-checks and fails on mismatch)")
-
-    p_enum = sub.add_parser(
-        "enumerate", help="list every Segre characteristic of weight n")
-    p_enum.add_argument("n", type=_integer)
-    p_enum.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_analyze = sub.add_parser(
-        "analyze", help="Segre characteristic of a rational matrix")
-    p_analyze.add_argument("matrix_file",
-                           help="JSON file: {\"rows\": n, \"cols\": n, "
-                                "\"entries\": [[int or \"p/q\", ...], ...]}")
-    p_analyze.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_render = sub.add_parser(
-        "render", help="draw every weight-n structure as SVG or ASCII")
-    p_render.add_argument("n", type=_integer)
-    p_render.add_argument("--out", help="output path (default: stdout)")
-    p_render.add_argument("--columns", type=_integer, default=4)
-    p_render.add_argument("--format", choices=("svg", "ascii"), default="svg")
-
-    p_rank = sub.add_parser(
-        "rankpattern", help="Jordan blocks from a measured rank pattern")
-    p_rank.add_argument("pattern",
-                        help="textual form, e.g. \"n=10: 10,7,5,3,2,1,0\"")
-
-    return parser
 
 
 def cmd_count(args) -> int:
@@ -231,23 +188,86 @@ def cmd_rankpattern(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "count": cmd_count,
-    "enumerate": cmd_enumerate,
-    "analyze": cmd_analyze,
-    "render": cmd_render,
-    "rankpattern": cmd_rankpattern,
+# command: (handler, (positional, converter), {option: (choices or
+# converter, default)}, the usage that --help prints after "segre command")
+COMMANDS = {
+    "count": (cmd_count, ("n", _integer),
+              {"--method": (("gf", "sum", "both"), "gf")},
+              "N [--method gf|sum|both]\n    number of weight-n structures"),
+    "enumerate": (cmd_enumerate, ("n", _integer),
+                  {"--format": (("text", "json"), "text")},
+                  "N [--format text|json]\n    every structure of weight n"),
+    "analyze": (cmd_analyze, ("matrix_file", str),
+                {"--format": (("text", "json"), "text")},
+                "MATRIX_FILE [--format text|json]\n    Segre characteristic "
+                'of {"rows": n, "cols": n, "entries": [[int or "p/q"]]}'),
+    "render": (cmd_render, ("n", _integer),
+               {"--out": (str, None), "--columns": (_integer, 4),
+                "--format": (("svg", "ascii"), "svg")},
+               "N [--out PATH] [--columns C] [--format svg|ascii]\n"
+               "    every weight-n structure drawn as SVG or ASCII"),
+    "rankpattern": (cmd_rankpattern, ("pattern", str), {},
+                    'PATTERN\n    Jordan blocks from ranks, "n=4: 4,2,1,0"'),
 }
 
 
+def cmd_help(command) -> int:
+    usage = "".join(f"segre {name} {COMMANDS[name][3]}\n"
+                    for name in ([command] if command else COMMANDS))
+    sys.stdout.write("usage: " + usage if command else (
+        "usage: segre COMMAND ARGUMENT [--OPTION VALUE ...]\n\nEnumerate, "
+        "count, analyze, and draw Jordan structures (Segre\ncharacteristics) "
+        "with exact arithmetic.\n\n" + usage))
+    return EXIT_OK
+
+
+def _is_option(token: str, options) -> bool:
+    # as under argparse, "-", a negative integer, and a token with a space
+    # that names no option are values
+    return len(token) > 1 and token[0] == "-" and not (
+        token[1:].isascii() and token[1:].isdigit()) and (
+        " " not in token or token.partition("=")[0] in options)
+
+
+def parse_args(argv):
+    """The handler that argv names and the arguments to call it with.  A
+    usage error raises ValueError with its one-line message."""
+    command, *tokens = argv or [""]
+    if "-h" in argv or "--help" in argv:
+        return cmd_help, command if command in COMMANDS else None
+    if command not in COMMANDS:
+        what = f"unknown command {command!r}" if argv else "no command"
+        raise ValueError(f"{what}; choose from {', '.join(COMMANDS)}")
+    handler, (positional, convert), options, _ = COMMANDS[command]
+    args = {"command": command, **{o[2:]: d for o, (_, d) in options.items()}}
+    tokens = iter(tokens)
+    for token in tokens:
+        if not _is_option(token, options):
+            if positional in args:
+                raise ValueError(f"unexpected argument {token!r}")
+            args[positional] = convert(token)
+            continue
+        option, equals, value = token.partition("=")
+        if option not in options:
+            raise ValueError(f"unknown option {option!r} for {command}")
+        # the end of argv reads as "--", which is no value
+        if not equals and _is_option(value := next(tokens, "--"), options):
+            raise ValueError(f"{option} needs a value")
+        kind = options[option][0]
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"{option} takes {'|'.join(kind)}, not {value!r}")
+        args[option[2:]] = value if isinstance(kind, tuple) else kind(value)
+    if positional not in args:
+        raise ValueError(f"{command} needs its argument {positional.upper()}")
+    return handler, SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 for --help
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return _COMMANDS[args.command](args)
+        handler, args = parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
+    return handler(args)
 
 
 def run() -> None:

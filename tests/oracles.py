@@ -13,11 +13,15 @@ instead of Miller-Rabin, Fraction arithmetic throughout instead of one
 denominator-clearing scale, the rational root theorem's divisor candidates
 instead of a modular gcd and p-adic lifting, brute-force multiset
 collection instead of generating-function or recursive counting,
-deduplication and a global sort instead of canonical generation in order.
+deduplication and a global sort instead of canonical generation in order,
+argparse instead of the command line's own table-driven parser.
 """
 
+import argparse
+import io
 import itertools
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 
@@ -403,3 +407,65 @@ def fraction_analyze(rows):
     segre = "[" + ",".join("(" + ",".join(map(str, g)) + ")"
                            for g in canonical_groups(groups)) + "]"
     return {"segre": segre, "eigenvalues": entries}
+
+
+# the command line's parser before it read its own table, unchanged
+def _integer(text: str) -> int:
+    # -?[0-9]+ only: int() also takes non-ASCII digits, padding, "+" and "_"
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"invalid integer {text!r}: use ASCII digits 0-9")
+    return int(text)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="segre",
+        description="Enumerate, count, analyze, and draw Jordan structures "
+                    "(Segre characteristics) with exact arithmetic.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_count = sub.add_parser(
+        "count", help="number of equivalence classes of n x n structures")
+    p_count.add_argument("n", type=_integer)
+    p_count.add_argument("--method", choices=("gf", "sum", "both"),
+                         default="gf",
+                         help="generating function, partition sum, or both "
+                              "(both cross-checks and fails on mismatch)")
+
+    p_enum = sub.add_parser(
+        "enumerate", help="list every Segre characteristic of weight n")
+    p_enum.add_argument("n", type=_integer)
+    p_enum.add_argument("--format", choices=("text", "json"), default="text")
+
+    p_analyze = sub.add_parser(
+        "analyze", help="Segre characteristic of a rational matrix")
+    p_analyze.add_argument("matrix_file",
+                           help="JSON file: {\"rows\": n, \"cols\": n, "
+                                "\"entries\": [[int or \"p/q\", ...], ...]}")
+    p_analyze.add_argument("--format", choices=("text", "json"), default="text")
+
+    p_render = sub.add_parser(
+        "render", help="draw every weight-n structure as SVG or ASCII")
+    p_render.add_argument("n", type=_integer)
+    p_render.add_argument("--out", help="output path (default: stdout)")
+    p_render.add_argument("--columns", type=_integer, default=4)
+    p_render.add_argument("--format", choices=("svg", "ascii"), default="svg")
+
+    p_rank = sub.add_parser(
+        "rankpattern", help="Jordan blocks from a measured rank pattern")
+    p_rank.add_argument("pattern",
+                        help="textual form, e.g. \"n=10: 10,7,5,3,2,1,0\"")
+
+    return parser
+
+
+def argparse_args(argv):
+    """The Namespace that build_parser() reads from argv, or None where it
+    exits (usage errors and --help)."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None

@@ -11,11 +11,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from segrekit import cli
 from segrekit.cli import main
 from segrekit.segre import format_segre, iter_segre
+
+import oracles
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -567,7 +569,8 @@ FOOTPRINTS = [
     (["analyze", "MATRIX"], LIBRARY, {"fractions", "json"}),
     (["analyze", "MATRIX", "--format", "json"], LIBRARY, {"fractions", "json"}),
 ]
-WATCHED = {"fractions", "json", "dataclasses", "inspect"}
+WATCHED = {"fractions", "json", "dataclasses", "inspect", "argparse",
+           "gettext", "locale"}
 
 
 def test_cli_import_skips_dataclasses_and_inspect(tmp_path):
@@ -645,13 +648,111 @@ def test_rankpattern_at_the_dimension_cap(capsys):
     assert "exceeds the limit" in capsys.readouterr().err
 
 
+USAGE_ERRORS = [
+    [],  # no command
+    ["frobnicate", "4"],  # an unknown command
+    ["count"],  # a missing positional
+    ["rankpattern", "--format", "text"],
+    ["count", "4", "5"],  # an extra positional
+    ["analyze", "a.json", "b.json"],
+    ["render", "4", "--bogus", "1"],  # an unknown option
+    ["count", "4", "--format", "json"],  # an option of another command
+    ["count", "4", "--method"],  # a missing option value
+    ["render", "4", "--out", "-x"],
+    ["count", "4", "--method", "nope"],  # a bad choice
+    ["enumerate", "4", "--format=yaml"],
+    ["count", "x"],  # an invalid integer
+    ["render", "4", "--columns", "\u0663"],
+]
+
+
 def test_usage_and_help(capsys):
-    assert main([]) == 2
-    capsys.readouterr()
-    assert main(["frobnicate"]) == 2
-    capsys.readouterr()
-    assert main(["--help"]) == 0
-    assert "count" in capsys.readouterr().out
+    for argv in USAGE_ERRORS:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), argv
+        assert err.count("\n") == 1 and err.endswith("\n"), argv
+    for argv in (["--help"], ["-h"], ["count", "--help"], ["count", "4", "-h"]):
+        assert main(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: segre ") and err == "", argv
+        assert ("--method gf|sum|both" in out) and (
+            ("rankpattern" in out) == (argv[0] != "count")), argv
+
+
+def test_help_names_every_option_and_choice(capsys):
+    # the usage is written by hand; the table is what parse_args reads
+    for command, (_, (positional, _), options, _) in cli.COMMANDS.items():
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: segre {command} {positional.upper()}")
+        for option, (kind, _) in options.items():
+            assert option in out, (command, option)
+            assert not isinstance(kind, tuple) or "|".join(kind) in out
+
+
+# argv drawn from the commands, their options (and two that no command
+# has), good and bad values, with the positional given zero to two times
+# and each option as `--name value`, `--name=value` or `--name` alone.  No
+# token is an abbreviation of an option or `--`, the documented differences
+# from argparse that test_documented_differences_from_argparse lists.
+COMMAND_NAMES = ["count", "enumerate", "analyze", "render", "rankpattern"]
+OPTION_NAMES = ["--method", "--format", "--out", "--columns", "--bogus", "-x"]
+ARGV_VALUES = ["4", "1", "0", "-1", "-0", "007", "\u0663", " 4", "1e3", "x",
+               "", "-", "-x", "-n 3", "--method", "gf", "sum", "both", "nope",
+               "text", "json", "svg", "ascii", "m.json", "n=3: 3,1,0"]
+
+
+@st.composite
+def command_lines(draw):
+    values = st.sampled_from(ARGV_VALUES)
+    pieces = [[draw(values)] for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 3))):
+        option, value = draw(st.sampled_from(OPTION_NAMES)), draw(values)
+        pieces.append(draw(st.sampled_from(
+            [[option, value], [f"{option}={value}"], [option]])))
+    pieces = draw(st.permutations(pieces))
+    command = draw(st.sampled_from(COMMAND_NAMES))
+    return [command, *(token for piece in pieces for token in piece)]
+
+
+@settings(max_examples=500, deadline=None)
+@example(argv=["count", "4", "--method", "both", "--method=sum"])
+@example(argv=["render", "2", "--out", "- x", "--columns", "-3"])
+@example(argv=["rankpattern", "--bogus=n=3: 3,1,0"])
+@given(argv=st.one_of(
+    command_lines(),
+    # a command missing, misplaced or repeated
+    st.lists(st.sampled_from(COMMAND_NAMES + OPTION_NAMES + ARGV_VALUES),
+             max_size=5)))
+def test_parser_matches_argparse(argv):
+    expected = oracles.argparse_args(argv)
+    try:
+        handler, args = cli.parse_args(argv)
+    except ValueError:
+        assert expected is None, argv
+    else:
+        assert expected is not None, argv
+        assert vars(args) == vars(expected), argv
+        assert handler is cli.COMMANDS[args.command][0]
+
+
+@pytest.mark.parametrize("argv", [
+    # unique prefixes of an option name
+    ["count", "4", "--meth", "both"],
+    ["render", "4", "--col=2"],
+    # the separator that ends the options
+    ["count", "--", "4"],
+    ["rankpattern", "--", "--x"],
+    # a negative number that is not an ASCII integer, which argparse read
+    # as a value
+    ["analyze", "-1.5"],
+])
+def test_documented_differences_from_argparse(argv, capsys):
+    assert oracles.argparse_args(argv) is not None
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: unknown option '-")
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +776,8 @@ def assert_clean_exit(argv):
     assert code in README_EXIT_CODES, (argv, code, err)
     assert "Traceback" not in err
     if code:
-        assert err, argv
+        assert err.startswith("error: ") and err.endswith("\n"), (argv, err)
+        assert err.count("\n") == 1, (argv, err)
 
 
 good_entries = st.one_of(
