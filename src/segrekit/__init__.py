@@ -15,52 +15,32 @@ what it imports.
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "EigenvalueReport",
-    "ExactMatrix",
-    "InternalInconsistencyError",
-    "IrrationalEigenvalueError",
-    "JordanSpec",
-    "NonMonotoneGrowthError",
-    "Partition",
-    "PolynomialZ",
-    "RankPattern",
-    "SegreCharacteristic",
-    "SegreParseError",
-    "StructureGrid",
-    "analyze",
-    "blocks_from_rank_pattern",
-    "build_jordan",
-    "char_poly",
-    "count_segre_gf",
-    "count_segre_sum",
-    "enumerate_partitions",
-    "enumerate_segre",
-    "format_segre",
-    "grid_of",
-    "iter_partition_tuples",
-    "iter_segre",
-    "mat_mul",
-    "matrix_from_json_dict",
-    "nullity_growth",
-    "parse_segre",
-    "partition_count",
-    "rank",
-    "rank_pattern_from_blocks",
-    "rank_pattern_of",
-    "rational_eigenvalues",
-    "render_ascii",
-    "render_ferrers",
-    "render_ferrers_conjugate_pair",
-    "render_svg",
-    "shift",
-]
+# each public name under the module that defines it
+_NAMES = {
+    "partitions": ("InternalInconsistencyError", "Partition",
+                   "enumerate_partitions", "iter_partition_tuples",
+                   "partition_count"),
+    "segre": ("SegreCharacteristic", "SegreParseError", "count_segre_gf",
+              "count_segre_sum", "enumerate_segre", "format_segre",
+              "iter_segre", "parse_segre"),
+    "rank_analysis": ("NonMonotoneGrowthError", "RankPattern",
+                      "blocks_from_rank_pattern", "nullity_growth",
+                      "rank_pattern_from_blocks"),
+    "linalg": ("ExactMatrix", "PolynomialZ", "char_poly", "mat_mul",
+               "matrix_from_json_dict", "rank", "rational_eigenvalues",
+               "shift"),
+    "jordan": ("AnalysisReport", "EigenvalueReport",
+               "IrrationalEigenvalueError", "JordanSpec", "analyze",
+               "build_jordan", "rank_pattern_of"),
+    "render": ("StructureGrid", "grid_of", "render_ascii", "render_ferrers",
+               "render_ferrers_conjugate_pair", "render_svg"),
+}
+
+__all__ = sorted(name for names in _NAMES.values() for name in names)
 
 # a module's name loads the library too: after `from segrekit import cli`
 # a tool wrapping its functions (bench/tracing.py) finds every module
-_MODULES = ("cli", "jordan", "linalg", "partitions", "rank_analysis",
-            "render", "segre")
+_MODULES = ("cli", *_NAMES)
 
 
 def __getattr__(name):
@@ -68,25 +48,10 @@ def __getattr__(name):
     # of them, and would otherwise compile them inside its first call
     if name not in __all__ and name not in _MODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .partitions import (InternalInconsistencyError, Partition,
-                             enumerate_partitions, iter_partition_tuples,
-                             partition_count)
-    from .segre import (SegreCharacteristic, SegreParseError, count_segre_gf,
-                        count_segre_sum, enumerate_segre, format_segre,
-                        iter_segre, parse_segre)
-    from .rank_analysis import (NonMonotoneGrowthError, RankPattern,
-                                blocks_from_rank_pattern, nullity_growth,
-                                rank_pattern_from_blocks)
-    from .linalg import (ExactMatrix, PolynomialZ, char_poly, mat_mul,
-                         matrix_from_json_dict, rank, rational_eigenvalues,
-                         shift)
-    from .jordan import (AnalysisReport, EigenvalueReport,
-                         IrrationalEigenvalueError, JordanSpec, analyze,
-                         build_jordan, rank_pattern_of)
-    from .render import (StructureGrid, grid_of, render_ascii, render_ferrers,
-                         render_ferrers_conjugate_pair, render_svg)
-    public = locals()
-    globals().update((key, public[key]) for key in __all__)
+    from importlib import import_module
+    modules = {m: import_module(f"{__name__}.{m}") for m in _NAMES}
+    globals().update((key, getattr(modules[m], key))
+                     for m, names in _NAMES.items() for key in names)
     if name not in globals():  # cli: `from segrekit import cli` imports it
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return globals()[name]

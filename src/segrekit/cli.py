@@ -138,23 +138,23 @@ def cmd_analyze(args) -> int:
 
 def cmd_render(args) -> int:
     from .render import _ascii_lines, _grid, _svg_pieces
-    from .segre import count_segre_gf, format_segre, iter_segre
+    from .segre import _groups, _groups_text, count_segre_gf
     if args.n < 1:
         return _fail("n must be >= 1", EXIT_USAGE)
     if args.n > MAX_WEIGHT:
         return _fail(f"n exceeds the limit of {MAX_WEIGHT}", EXIT_USAGE)
     if args.columns < 1:
         return _fail("--columns must be >= 1", EXIT_USAGE)
-    items = iter_segre(args.n)
+    items = _groups(args.n)
     if args.format == "svg":
         # the header needs the grid count up front; _svg_pieces checks it
         # against the number of characteristics enumerated
-        pieces = _svg_pieces((_grid(s.groups) for s in items),
+        pieces = _svg_pieces(map(_grid, items),
                              count_segre_gf(args.n), args.n, args.columns)
     else:
-        pieces = (line + "\n" for i, s in enumerate(items)
-                  for lines in ([("\n" if i else "") + format_segre(s)],
-                                _ascii_lines(_grid(s.groups)))
+        pieces = (line + "\n" for i, groups in enumerate(items)
+                  for lines in ([("\n" if i else "") + _groups_text(groups)],
+                                _ascii_lines(_grid(groups)))
                   for line in lines)
     if not args.out:
         # a closed pipe raises BrokenPipeError here, which run() handles

@@ -10,6 +10,7 @@ no power of N is ever formed.  The characteristic polynomial needs no
 more primes than the first reconstruction whose rank patterns certify it.
 """
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -121,19 +122,22 @@ def build_jordan(spec: JordanSpec) -> ExactMatrix:
 
     Blocks are laid out along the diagonal in group order, parts within a
     group largest-first; each block carries its eigenvalue on the diagonal
-    and 1 on the superdiagonal.
+    and 1 on the superdiagonal.  The matrix is built as d times itself, d
+    the least common denominator of the eigenvalues.
     """
     n = spec.dimension
-    entries = [[Fraction(0)] * n for _ in range(n)]
+    d = math.lcm(*(lam.denominator for lam in spec.eigenvalues))
+    rows = [[0] * n for _ in range(n)]
     offset = 0
     for group, lam in zip(spec.segre.groups, spec.eigenvalues):
+        mu = lam.numerator * (d // lam.denominator)
         for size in group.parts:
             for r in range(offset, offset + size):
-                entries[r][r] = lam
+                rows[r][r] = mu
             for r in range(offset, offset + size - 1):
-                entries[r][r + 1] = Fraction(1)
+                rows[r][r + 1] = d
             offset += size
-    return ExactMatrix.from_rows(entries)
+    return ExactMatrix._from_ints(rows, d)
 
 
 def _rank_pattern(b: list[list[int]], mu: int, m: int) -> list[int]:

@@ -1,10 +1,10 @@
 """Exact dense linear algebra over the rationals.
 
-No floating point anywhere.  ExactMatrix, the type for parsing and
-output, holds fractions.Fraction entries (always lowest terms).  The work
-itself is done by an integer core: a matrix is scaled once to d*A, with d
-the lcm of its entry denominators, and from then on every kernel runs on
-lists of rows of Python ints.  Products take inner products with
+No floating point anywhere.  An ExactMatrix A is stored as d*A, rows of
+Python ints, with d >= 1 the least common denominator of its entries, so
+that d and the entries share no factor; a Fraction is made only to parse
+a "p/q" entry or to hand an entry or an eigenvalue back.  Every kernel
+runs on the integer rows.  Products take inner products with
 sum(map(mul, row, col)).  Ranks come from fraction-free Bareiss
 elimination done column by column, each column replayed through the
 steps recorded so far, where a step with a zero multiplier only defers a
@@ -55,25 +55,45 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def _entry(value):
+    """A valid entry as an int or, if it is not an int, a Fraction."""
+    return value if type(value) is int else _as_fraction(value)
+
+
 class ExactMatrix:
-    """Immutable dense matrix with Fraction entries.
+    """Immutable dense matrix of rationals, stored as d times itself: rows
+    of ints and the least common denominator d of the entries.
 
     Accepts ints, Fractions, and strings matching -?[0-9]+(/[0-9]+)? as
-    entries; floats are rejected to keep every computation exact.
+    entries; floats are rejected to keep every computation exact.  Entries
+    are read back as Fractions.
     """
 
-    __slots__ = ("_rows", "_cols", "_entries")
+    __slots__ = ("_rows", "_cols", "_d", "_ints")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         _integer(rows, "rows", 1)
         _integer(cols, "cols", 1)
-        es = tuple(_as_fraction(e) for e in entries)
+        es = [_entry(e).as_integer_ratio() for e in entries]
         if len(es) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for {rows}x{cols}, got {len(es)}")
-        self._rows = rows
-        self._cols = cols
-        self._entries = es
+        # over the lcm of lowest-terms denominators no common factor is left
+        d = math.lcm(*{q for _, q in es})
+        flat = tuple(p * (d // q) for p, q in es)
+        self._rows, self._cols, self._d = rows, cols, d
+        self._ints = tuple(flat[i:i + cols] for i in range(0, len(flat), cols))
+
+    @classmethod
+    def _from_ints(cls, ints: Sequence[Sequence[int]], d: int) -> "ExactMatrix":
+        """The matrix ints / d, for nonempty rows of ints of equal length
+        and an int d >= 1, with the common factor of d and ints removed."""
+        g = math.gcd(d, *itertools.chain.from_iterable(ints)) if d > 1 else 1
+        self = object.__new__(cls)
+        self._rows, self._cols, self._d = len(ints), len(ints[0]), d // g
+        self._ints = tuple(tuple(x // g for x in row) if g > 1 else tuple(row)
+                           for row in ints)
+        return self
 
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence]) -> "ExactMatrix":
@@ -90,13 +110,13 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         _integer(n, "n", 1)  # before range(n) can raise a TypeError
-        return cls(n, n, (1 if i == j else 0
-                          for i in range(n) for j in range(n)))
+        return cls._from_ints([[int(i == j) for j in range(n)]
+                               for i in range(n)], 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(_integer(rows, "rows", 1), _integer(cols, "cols", 1),
-                   (0,) * (rows * cols))
+        _integer(rows, "rows", 1)
+        return cls._from_ints([(0,) * _integer(cols, "cols", 1)] * rows, 1)
 
     @property
     def rows(self) -> int:
@@ -114,39 +134,45 @@ class ExactMatrix:
         """0-based access."""
         if not (0 <= i < self._rows and 0 <= j < self._cols):
             raise IndexError(f"({i}, {j}) outside {self._rows}x{self._cols}")
-        return self._entries[i * self._cols + j]
+        return Fraction(self._ints[i][j], self._d)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.entry(*ij)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._entries[i * self._cols:(i + 1) * self._cols]
+        if not 0 <= i < self._rows:
+            raise IndexError(f"row {i} outside {self._rows}x{self._cols}")
+        d = self._d
+        return tuple(Fraction(x, d) for x in self._ints[i])
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self._rows)]
 
-    def __add__(self, other) -> "ExactMatrix":
+    def _plus(self, other, sign: int, what: str) -> "ExactMatrix":
+        # self + sign * other over the lcm of the two d
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if (self._rows, self._cols) != (other._rows, other._cols):
-            raise ValueError("shape mismatch in addition")
-        return ExactMatrix(self._rows, self._cols,
-                           (a + b for a, b in zip(self._entries, other._entries)))
+            raise ValueError(f"shape mismatch in {what}")
+        d = math.lcm(self._d, other._d)
+        ka, kb = d // self._d, sign * (d // other._d)
+        return ExactMatrix._from_ints(
+            [[ka * x + kb * y for x, y in zip(r, s)]
+             for r, s in zip(self._ints, other._ints)], d)
+
+    def __add__(self, other) -> "ExactMatrix":
+        return self._plus(other, 1, "addition")
 
     def __sub__(self, other) -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self._rows, self._cols) != (other._rows, other._cols):
-            raise ValueError("shape mismatch in subtraction")
-        return ExactMatrix(self._rows, self._cols,
-                           (a - b for a, b in zip(self._entries, other._entries)))
+        return self._plus(other, -1, "subtraction")
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             return mat_mul(self, other)
         if isinstance(other, (int, Fraction)):
-            return ExactMatrix(self._rows, self._cols,
-                               (e * other for e in self._entries))
+            p, q = _entry(other).as_integer_ratio()  # a bool raises here
+            return ExactMatrix._from_ints(
+                [[p * x for x in row] for row in self._ints], q * self._d)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -157,11 +183,10 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self._rows == other._rows and self._cols == other._cols
-                and self._entries == other._entries)
+        return self._d == other._d and self._ints == other._ints
 
     def __hash__(self) -> int:
-        return hash((self._rows, self._cols, self._entries))
+        return hash((self._d, self._ints))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -170,26 +195,25 @@ class ExactMatrix:
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product: both operands are scaled to integers, multiplied
-    by the integer kernel, and the product divided by the two scale factors."""
+    """Exact matrix product: the integer product of d_a*a and d_b*b, over
+    d_a*d_b."""
+    if not (isinstance(a, ExactMatrix) and isinstance(b, ExactMatrix)):
+        raise TypeError(f"mat_mul needs two ExactMatrix operands, got "
+                        f"{type(a).__name__} and {type(b).__name__}")
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    ia, da = _scaled_rows(a)
-    ib, db = _scaled_rows(b)
-    d = da * db
-    return ExactMatrix(a.rows, b.cols, (Fraction(x, d)
-                                        for row in _int_mat_mul(ia, ib)
-                                        for x in row))
+    return ExactMatrix._from_ints(_int_mat_mul(a._ints, b._ints), a._d * b._d)
 
 
 def shift(a: ExactMatrix, lam) -> ExactMatrix:
     """a - lam*I."""
     if not a.is_square:
         raise ValueError("shift requires a square matrix")
-    lam = _as_fraction(lam)
-    n = a.rows
-    return ExactMatrix(n, n, (a.entry(i, j) - lam if i == j else a.entry(i, j)
-                              for i in range(n) for j in range(n)))
+    p, q = _entry(lam).as_integer_ratio()
+    rows = [[q * x for x in row] for row in a._ints]
+    for i, row in enumerate(rows):
+        row[i] -= p * a._d
+    return ExactMatrix._from_ints(rows, q * a._d)
 
 
 def rank(a: ExactMatrix) -> int:
@@ -199,19 +223,12 @@ def rank(a: ExactMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Integer kernels.  Matrices are lists of rows of Python ints; none of these
-# functions creates a Fraction.
+# Integer kernels.  Matrices are sequences of rows of Python ints; none of
+# these functions creates a Fraction.
 
-def _scaled_rows(a: ExactMatrix) -> tuple[list[list[int]], int]:
-    """The rows of d*a as ints, and d, the lcm of the entry denominators."""
-    es = a._entries
-    d = math.lcm(*{e.denominator for e in es})
-    if d == 1:
-        flat = [e.numerator for e in es]
-    else:
-        flat = [e.numerator * (d // e.denominator) for e in es]
-    c = a._cols
-    return [flat[i:i + c] for i in range(0, len(flat), c)], d
+def _scaled_rows(a: ExactMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The rows of d*a as ints, and d, the least common denominator of a."""
+    return a._ints, a._d
 
 
 def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -695,7 +712,7 @@ def matrix_from_json_dict(data) -> ExactMatrix:
                 raise ValueError(
                     f"entry ({i}, {j}) must be an integer or 'p/q' string, got {e!r}")
             try:
-                flat.append(_as_fraction(e))
+                flat.append(_entry(e))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"entry ({i}, {j}) is not a valid fraction: {e!r}") from exc
     return ExactMatrix(rows, cols, flat)

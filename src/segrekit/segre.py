@@ -90,7 +90,11 @@ def _group_text(parts: tuple) -> str:
 
 def format_segre(s: SegreCharacteristic) -> str:
     """Render as text, every group parenthesized: "[(2,1),(3),(1),(2,1)]"."""
-    return "[" + ",".join(_group_text(g.parts) for g in s.groups) + "]"
+    return _groups_text(s.groups)
+
+
+def _groups_text(groups) -> str:
+    return "[" + ",".join(_group_text(g.parts) for g in groups) + "]"
 
 
 class SegreParseError(ValueError):
@@ -240,8 +244,13 @@ def iter_segre(n: int) -> Iterator[SegreCharacteristic]:
     split into groups depth first, candidates taken in that order, so each
     form is built once and in place.  There are count_segre_gf(n) items.
     """
-    return map(SegreCharacteristic._from_canonical,
-               _walk(n, (), lambda p: ((p,), (p,))))
+    return map(SegreCharacteristic._from_canonical, _groups(n))
+
+
+def _groups(n: int) -> Iterator[tuple]:
+    """The groups of each item of iter_segre(n), in order: tuples of
+    Partitions."""
+    return _walk(n, (), lambda p: ((p,), (p,)))
 
 
 def _texts(n: int) -> Iterator[str]:

@@ -9,9 +9,10 @@ one recorded elimination and a ladder of kernels that back-substitutes,
 polynomial convolution and interpolation of determinants, and the
 Faddeev-LeVerrier recurrence over the integers, instead of Hessenberg
 reduction modulo primes and the Chinese remainder theorem, trial division
-instead of Miller-Rabin, Fraction arithmetic throughout instead of one
-denominator-clearing scale, the rational root theorem's divisor candidates
-instead of a modular gcd and p-adic lifting, brute-force multiset
+instead of Miller-Rabin, Fraction arithmetic throughout, a matrix stored
+as one Fraction per entry, instead of one denominator-clearing scale and
+integer rows, the rational root theorem's divisor candidates instead of a
+modular gcd and p-adic lifting, brute-force multiset
 collection instead of generating-function or recursive counting,
 deduplication and a global sort instead of canonical generation in order,
 argparse instead of the command line's own table-driven parser.
@@ -155,6 +156,65 @@ def fraction_mat_mul(a, b):
     k, m = len(b), len(b[0])
     bcols = [[b[t][j] for t in range(k)] for j in range(m)]
     return [[sum(ar[t] * bc[t] for t in range(k)) for bc in bcols] for ar in a]
+
+
+class FractionMatrix:
+    """ExactMatrix as it was when it stored one Fraction per entry, row
+    major, and computed every result entry by entry over Fraction: the
+    reference for the integer storage d*A that replaced it."""
+
+    def __init__(self, rows, cols, entries):
+        self.rows, self.cols = rows, cols
+        self.entries = tuple(Fraction(e) for e in entries)
+        if len(self.entries) != rows * cols:
+            raise ValueError("wrong number of entries")
+
+    @classmethod
+    def from_rows(cls, rows_data):
+        return cls(len(rows_data), len(rows_data[0]),
+                   [e for row in rows_data for e in row])
+
+    def entry(self, i, j):
+        return self.entries[i * self.cols + j]
+
+    def row(self, i):
+        return self.entries[i * self.cols:(i + 1) * self.cols]
+
+    def to_rows(self):
+        return [list(self.row(i)) for i in range(self.rows)]
+
+    def __add__(self, other):
+        return FractionMatrix(self.rows, self.cols,
+                              (a + b for a, b in zip(self.entries, other.entries)))
+
+    def __sub__(self, other):
+        return FractionMatrix(self.rows, self.cols,
+                              (a - b for a, b in zip(self.entries, other.entries)))
+
+    def scaled(self, c):
+        return FractionMatrix(self.rows, self.cols, (e * c for e in self.entries))
+
+    def mat_mul(self, other):
+        return FractionMatrix.from_rows(
+            fraction_mat_mul(self.to_rows(), other.to_rows()))
+
+    def shift(self, lam):
+        lam, n = Fraction(lam), self.rows
+        return FractionMatrix(n, n, (self.entry(i, j) - lam if i == j
+                                     else self.entry(i, j)
+                                     for i in range(n) for j in range(n)))
+
+    def __eq__(self, other):
+        return (self.rows, self.cols, self.entries) == (
+            other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        body = "; ".join(
+            " ".join(str(e) for e in self.row(i)) for i in range(self.rows))
+        return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
 def fraction_rank_pattern(rows, lam):

@@ -1,14 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from segrekit import (ExactMatrix, JordanSpec, PolynomialZ, char_poly,
                       mat_mul, matrix_from_json_dict, rank,
                       rational_eigenvalues, shift)
 from segrekit.linalg import _rational_roots
 
-from oracles import gaussian_rank, poly_from_linear_factors, poly_mul
+from oracles import (FractionMatrix, gaussian_rank, poly_from_linear_factors,
+                     poly_mul)
 
 
 def jordan_block(lam, size):
@@ -76,6 +79,92 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != ExactMatrix.from_rows([[1, 2, 3, 4]])
+
+
+def test_a_bool_is_never_a_number():
+    a = ExactMatrix.identity(2)
+    for use in (lambda: a * True, lambda: True * a, lambda: a * False,
+                lambda: shift(a, True),
+                lambda: ExactMatrix.from_rows([[True]])):
+        with pytest.raises(TypeError, match="entries must be numbers, got"):
+            use()
+
+
+def test_mat_mul_needs_two_matrices():
+    a = ExactMatrix.identity(2)
+    for args in ((a, 5), (5, a), (a, [[1, 0], [0, 1]]), (a, Fraction(1, 2))):
+        with pytest.raises(TypeError, match="mat_mul needs two ExactMatrix"):
+            mat_mul(*args)
+
+
+# small entries in the three accepted forms, so that sums, differences and
+# products often cancel a denominator or vanish
+numbers = st.builds(Fraction, st.integers(-4, 4),
+                    st.sampled_from([1, 2, 3, 4, 6]))
+entries = st.one_of(st.integers(-4, 4), numbers,
+                    numbers.map(lambda f: f"{f.numerator}/{f.denominator}"))
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def operands(draw):
+    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+    return (draw(matrices(r, k)), draw(matrices(r, k)), draw(matrices(k, c)),
+            draw(matrices(r, r)), draw(st.one_of(st.integers(-4, 4), numbers)),
+            draw(entries))
+
+
+def assert_same(got, want):
+    """got, an ExactMatrix, reads back exactly as the oracle's `want`."""
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got.to_rows() == want.to_rows()
+    assert [got.row(i) for i in range(got.rows)] == [
+        want.row(i) for i in range(want.rows)]
+    for i in range(got.rows):
+        for j in range(got.cols):
+            e = got.entry(i, j)
+            assert type(e) is Fraction and e == want.entry(i, j) == got[i, j]
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands())
+@example(([[0, 0]], [[0, 0]], [[0], [0]], [[0]], 0, 0))
+@example(([["1/2", "-1/6"]], [["1/2", Fraction(1, 6)]], [["2/3"], [6]],
+          [["1/3"]], Fraction(3, 2), "1/3"))
+def test_integer_storage_matches_fraction_entries(ops):
+    a_rows, b_rows, c_rows, s_rows, scalar, lam = ops
+    a, b, c, s = (ExactMatrix.from_rows(x)
+                  for x in (a_rows, b_rows, c_rows, s_rows))
+    oa, ob, oc, os_ = (FractionMatrix.from_rows(x)
+                       for x in (a_rows, b_rows, c_rows, s_rows))
+    results = [
+        (a, oa),
+        (a + b, oa + ob),
+        (a - b, oa - ob),
+        (b - a, ob - oa),
+        (a * scalar, oa.scaled(scalar)),
+        (scalar * a, oa.scaled(scalar)),
+        (mat_mul(a, c), oa.mat_mul(oc)),
+        (a * c, oa.mat_mul(oc)),
+        (shift(s, lam), os_.shift(lam)),
+        (ExactMatrix.zeros(a.rows, a.cols), oa - oa),
+        (a - a, oa - oa),
+        ((a + b) - b, oa),
+    ]
+    for got, want in results:
+        assert_same(got, want)
+        # built again from the entries it reads back, it is the same matrix
+        again = ExactMatrix.from_rows(want.to_rows())
+        assert got == again and hash(got) == hash(again)
+    for (x, ox), (y, oy) in itertools.combinations(results, 2):
+        assert (x == y) == (ox == oy)
+        if x == y:
+            assert hash(x) == hash(y)
 
 
 def test_mat_mul_golden():

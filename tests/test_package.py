@@ -1,12 +1,15 @@
 """The package namespace: `import segrekit` is cheap, and the first public
 name looked up loads the whole library.  Each check runs in a fresh
-interpreter (-S, so no .pth file imports anything first)."""
+interpreter (-S, so no .pth file imports anything first), except the
+README's library example, which runs here."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 LIBRARY = ["segrekit.jordan", "segrekit.linalg", "segrekit.partitions",
            "segrekit.rank_analysis", "segrekit.render", "segrekit.segre"]
@@ -96,3 +99,33 @@ def test_module_names_import_their_modules():
     out = run_fresh("from segrekit import linalg\n"
                     "print(linalg.__name__, loaded())\n")
     assert out == f"segrekit.linalg {LIBRARY}\n"
+
+
+def test_readme_library_example():
+    text = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    example = text.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {}
+    for line in example.splitlines():
+        code, _, comment = line.partition("#")
+        comments[code.strip()] = comment.strip()
+    # each expression statement's value, by its text
+    ns, values = {}, {}
+    for node in ast.parse(example).body:
+        if isinstance(node, ast.Expr):
+            values[ast.get_source_segment(example, node)] = eval(
+                compile(ast.Expression(node.value), "README.md", "eval"), ns)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), ns)
+    checks = {
+        "count_segre_gf(10)": ("817", lambda v: v == 817),
+        "enumerate_segre(3)": ("six characteristics", lambda v: len(v) == 6),
+        "next(iter_segre(30))": ("[(30)]", lambda v: str(v) == "[(30)]"),
+        "str(report.segre)": ("'[(3),(2,1)]'", lambda v: v == "[(3),(2,1)]"),
+        "report.per_eigenvalue[1].rank_pattern.ranks":
+            ("(6, 4, 3)", lambda v: v == (6, 4, 3)),
+    }
+    assert values.keys() == checks.keys()
+    for code, (said, holds) in checks.items():
+        assert comments[code].startswith(said), code
+        assert holds(values[code]), (code, values[code])
+    assert ns["a"].rows == ns["a"].cols == 6
