@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from segrekit import (ExactMatrix, JordanSpec, PolynomialZ, char_poly,
-                      mat_mul, matrix_from_json_dict, rank,
+from segrekit import (ExactMatrix, JordanSpec, PolynomialZ, build_jordan,
+                      char_poly, mat_mul, matrix_from_json_dict, rank,
                       rational_eigenvalues, shift)
 from segrekit.linalg import _rational_roots
 
@@ -165,6 +165,28 @@ def test_integer_storage_matches_fraction_entries(ops):
         assert (x == y) == (ox == oy)
         if x == y:
             assert hash(x) == hash(y)
+
+
+def test_arithmetic_creates_no_fraction(monkeypatch):
+    # the stored form is d*A in ints: only reading an entry makes a Fraction
+    a = ExactMatrix.from_rows([[1, "1/2", 0], ["2/3", 4, 5], [0, 0, "7/9"]])
+    b = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    half = Fraction(1, 2)
+    spec = JordanSpec([[2, 1], [3]], [half, -3])
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs:
+                        made.append(args) or new(cls, *args, **kwargs))
+    for op in (lambda: a + b, lambda: a - b, lambda: a * 3, lambda: half * a,
+               lambda: mat_mul(a, b), lambda: shift(a, 2),
+               lambda: shift(a, half), lambda: ExactMatrix.identity(4),
+               lambda: ExactMatrix.zeros(2, 3), lambda: build_jordan(spec),
+               lambda: rank(a), lambda: char_poly(a),
+               lambda: ExactMatrix.from_rows([[1, -2], [3, 4]])):
+        op()
+    assert made == []
+    assert a.entry(0, 1) == half
+    assert len(made) == 1
 
 
 def test_mat_mul_golden():
