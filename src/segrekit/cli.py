@@ -33,7 +33,10 @@ def _integer(text: str) -> int:
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid integer {text!r}: use ASCII digits 0-9")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ValueError("integer too long") from None
 
 
 def cmd_count(args) -> int:
@@ -229,6 +232,13 @@ def _is_option(token: str, options) -> bool:
         " " not in token or token.partition("=")[0] in options)
 
 
+def _convert(convert, text: str, name: str):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def parse_args(argv):
     """The handler that argv names and the arguments to call it with.  A
     usage error raises ValueError with its one-line message."""
@@ -245,7 +255,7 @@ def parse_args(argv):
         if not _is_option(token, options):
             if positional in args:
                 raise ValueError(f"unexpected argument {token!r}")
-            args[positional] = convert(token)
+            args[positional] = _convert(convert, token, positional.upper())
             continue
         option, equals, value = token.partition("=")
         if option not in options:
@@ -256,7 +266,8 @@ def parse_args(argv):
         kind = options[option][0]
         if isinstance(kind, tuple) and value not in kind:
             raise ValueError(f"{option} takes {'|'.join(kind)}, not {value!r}")
-        args[option[2:]] = value if isinstance(kind, tuple) else kind(value)
+        args[option[2:]] = (value if isinstance(kind, tuple)
+                            else _convert(kind, value, option))
     if positional not in args:
         raise ValueError(f"{command} needs its argument {positional.upper()}")
     return handler, SimpleNamespace(**args)

@@ -6,8 +6,8 @@ polynomial -> rational eigenvalues -> rank pattern per eigenvalue ->
 block sizes -> canonical Segre characteristic.  A rank pattern comes
 from one recorded elimination of N = B - mu*I and a ladder of kernels of
 the powers of N, with one replay and one back-substitution per vector;
-no power of N is ever formed.  The characteristic polynomial needs no
-more primes than the first reconstruction whose rank patterns certify it.
+no power of N is ever formed.  The reconstructions of the characteristic
+polynomial are tried in turn, until rank patterns certify one.
 """
 
 import math
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .linalg import (ExactMatrix, shift, _as_fraction, _char_polys,
                      _eliminate, _kernel, _preimage, _primitive,
-                     _rational_roots, _replay, _scaled_rows)
+                     _rational_roots, _replay)
 from .partitions import InternalInconsistencyError
 from .rank_analysis import RankPattern, blocks_from_rank_pattern
 from .segre import SegreCharacteristic
@@ -173,9 +173,9 @@ def _rank_pattern(b: list[list[int]], mu: int, m: int) -> list[int]:
     blocks sum to less than m; if m understates it, then, as the
     multiplicities of a rational spectrum sum to n, another eigenvalue's m
     is overstated.  Either way some eigenvalue's blocks miss its m, and
-    analyze falls back to the proven polynomial, or raises if m came from
-    it.  Conversely, when every eigenvalue's nullity reaches its m and the
-    m sum to n, the polynomial the m came from is the true one.
+    analyze falls back to the next candidate, or raises after the last.
+    Conversely, when every eigenvalue's nullity reaches its m and the m
+    sum to n, the polynomial the m came from is the true one.
     """
     shifted = [list(row) for row in b]
     for i, row in enumerate(shifted):
@@ -226,7 +226,7 @@ def rank_pattern_of(a: ExactMatrix, lam) -> RankPattern:
     if not a.is_square:
         raise ValueError("rank patterns require a square matrix")
     n = a.rows
-    return RankPattern(n, _rank_pattern(_scaled_rows(shift(a, lam))[0], 0, n))
+    return RankPattern(n, _rank_pattern(shift(a, lam)._ints, 0, n))
 
 
 def analyze(a: ExactMatrix) -> AnalysisReport:
@@ -242,32 +242,24 @@ def analyze(a: ExactMatrix) -> AnalysisReport:
     converts to block sizes, and cross-checks the blocks against that
     multiplicity.
 
-    The characteristic polynomial is taken from the candidates of
-    _char_polys, the first of them after one prime.  A candidate that
-    splits over the integers and passes every cross-check is certified by
-    the ladders, so its report is the answer: each nullity reaches its
-    m_mu, the generalized eigenspaces of distinct mu are independent, and
-    the m_mu sum to n, so those spaces fill Q^n and the polynomial is
-    prod (x - mu)^(m_mu).  Any other candidate gives way to the next, and
-    a candidate equal to one that failed is not run again.  Only the
-    proven polynomial raises: IrrationalEigenvalueError when the spectrum
-    is not rational, InternalInconsistencyError if a cross-check fails
-    (which would mean a bug in the arithmetic).
+    The characteristic polynomial is each candidate of _char_polys in
+    turn.  One that splits over the integers and passes every cross-check
+    is certified by the ladders, so its report is the answer: each nullity
+    reaches its m_mu, the generalized eigenspaces of distinct mu are
+    independent, and the m_mu sum to n, so those spaces fill Q^n and the
+    polynomial is prod (x - mu)^(m_mu).  Any other gives way to the next.
+    The last is proven, and its error is raised: IrrationalEigenvalueError
+    when the spectrum is not rational, InternalInconsistencyError if a
+    cross-check fails (a bug in the arithmetic).
     """
     if not a.is_square:
         raise ValueError("analysis requires a square matrix")
-    b, d = _scaled_rows(a)
-    failed = {}
-    for coeffs, proven in _char_polys(b):
-        key = tuple(coeffs)
-        if key not in failed:
-            try:
-                return _report(b, d, coeffs)
-            except (IrrationalEigenvalueError,
-                    InternalInconsistencyError) as exc:
-                failed[key] = exc
-        if proven:
-            raise failed[key]
+    for coeffs in _char_polys(a._ints):
+        try:
+            return _report(a._ints, a._d, coeffs)
+        except (IrrationalEigenvalueError, InternalInconsistencyError) as exc:
+            error = exc
+    raise error
 
 
 def _report(b: list[list[int]], d: int, coeffs: list[int]) -> AnalysisReport:

@@ -12,9 +12,9 @@ rescale; jordan's rank patterns replay more columns through the same
 record and back-substitute its echelon.
 Characteristic polynomials come from a Hessenberg reduction
 modulo primes just below 2**62, combined by the Chinese remainder theorem
-up to a Hadamard-type bound on the coefficients, which proves them; the
-reconstructions before it are offered as unproven candidates, which
-jordan.analyze accepts only when its rank patterns certify them.  The
+up to a Hadamard-type bound on the coefficients, which proves them; each
+reconstruction that differs from the one before it is a candidate, which
+jordan.analyze accepts only when its rank patterns certify it.  The
 polynomial is monic, so its rational roots are integers; the same primes
 give its square-free part by a modular gcd proven by exact division,
 whose roots modulo a small prime are lifted p-adically, in time
@@ -169,14 +169,14 @@ class ExactMatrix:
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             return mat_mul(self, other)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, str)):
             p, q = _entry(other).as_integer_ratio()  # a bool raises here
             return ExactMatrix._from_ints(
                 [[p * x for x in row] for row in self._ints], q * self._d)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, str)):
             return self * other
         return NotImplemented
 
@@ -219,17 +219,12 @@ def shift(a: ExactMatrix, lam) -> ExactMatrix:
 def rank(a: ExactMatrix) -> int:
     """Exact rank: fraction-free (Bareiss) elimination of d*a, which has
     the rank of a."""
-    return len(_eliminate(_scaled_rows(a)[0]))
+    return len(_eliminate(a._ints))
 
 
 # ---------------------------------------------------------------------------
 # Integer kernels.  Matrices are sequences of rows of Python ints; none of
 # these functions creates a Fraction.
-
-def _scaled_rows(a: ExactMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The rows of d*a as ints, and d, the least common denominator of a."""
-    return a._ints, a._d
-
 
 def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     cols = list(zip(*b))
@@ -458,23 +453,22 @@ def _crt(xs: list[int], modulus: int, rs: list[int], p: int) -> list[int]:
     return [y - m if y > m // 2 else y for y in ys]
 
 
-def _char_polys(b: list[list[int]]) -> Iterator[tuple[list[int], bool]]:
+def _char_polys(b: list[list[int]]) -> Iterator[list[int]]:
     """Candidates for the coefficients of det(xI - b), lowest degree first,
-    for a square integer matrix b, each as (coefficients, proven).
+    for a square integer matrix b, the last of them proven.
 
     The coefficients mod the primes _prime(0), _prime(1), ... are combined
     by the Chinese remainder theorem with symmetric residues (von zur
-    Gathen and Gerhard, Modern Computer Algebra, ch. 5).  An unproven
-    candidate is yielded after the first prime, and again whenever one
-    more prime leaves the reconstruction unchanged; the last candidate,
-    proven, once the modulus exceeds 2 * prod_i (1 + ceil(|row_i(b)|_2)).
-    That is more than twice every |c_{n-k}|: c_{n-k} is a signed sum of the
-    k x k principal minors, Hadamard bounds the minor on rows S by
+    Gathen and Gerhard, Modern Computer Algebra, ch. 5).  Each
+    reconstruction unlike the one before is yielded, the last once the
+    modulus exceeds 2 * prod_i (1 + ceil(|row_i(b)|_2)).  That is more
+    than twice every |c_{n-k}|: c_{n-k} is a signed sum of the k x k
+    principal minors, Hadamard bounds the minor on rows S by
     prod_{i in S} |row_i|, and those products sum to the k-th elementary
     symmetric function of the row norms, one of the nonnegative terms of
-    prod_i (1 + |row_i|).  An unproven candidate is the answer only if
-    the caller certifies it; once the answer fits in the modulus, every
-    later reconstruction equals it.
+    prod_i (1 + |row_i|).  An earlier candidate is the answer only if the
+    caller certifies it.  None comes twice: one that changed was not
+    congruent to the answer modulo the next modulus, and every later one is.
     """
     n = len(b)
     bound = 2
@@ -482,26 +476,26 @@ def _char_polys(b: list[list[int]]) -> Iterator[tuple[list[int], bool]]:
         s = sum(x * x for x in row)
         if s:
             bound *= math.isqrt(s - 1) + 2  # 1 + ceil(sqrt(s))
-    coeffs, modulus = [0] * (n + 1), 1
-    for i in itertools.count():
-        p = _prime(i)
+    coeffs, modulus = [0] * (n + 1), 1  # monic, so unlike any reconstruction
+    for p in map(_prime, itertools.count()):
         new = _crt(coeffs, modulus, _char_poly_mod(b, p), p)
         modulus *= p
         if modulus > bound:
             break
-        if not i or new == coeffs:
-            yield new, False
-        coeffs = new
+        if new != coeffs:
+            yield new
+            coeffs = new
     if new[n - 1] != -sum(row[k] for k, row in enumerate(b)):
         raise InternalInconsistencyError(
             "characteristic polynomial must have c_{n-1} = -trace")
-    yield new, True
+    if new != coeffs:
+        yield new
 
 
 def _int_char_poly(b: list[list[int]]) -> list[int]:
-    """Coefficients of det(xI - b), lowest degree first: the proven
+    """Coefficients of det(xI - b), lowest degree first: the last, proven
     candidate of _char_polys."""
-    return next(coeffs for coeffs, proven in _char_polys(b) if proven)
+    return list(_char_polys(b))[-1]
 
 
 class PolynomialZ:
@@ -548,7 +542,7 @@ def char_poly(a: ExactMatrix) -> PolynomialZ:
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
-    return PolynomialZ(_int_char_poly(_scaled_rows(a)[0]))
+    return PolynomialZ(_int_char_poly(a._ints))
 
 
 def _horner(coeffs: list[int], x: int) -> int:
@@ -681,7 +675,7 @@ def rational_eigenvalues(a: ExactMatrix) -> tuple[list[tuple[Fraction, int]], in
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
-    b, d = _scaled_rows(a)
+    b, d = a._ints, a._d
     roots, remainder = _rational_roots(_int_char_poly(b))
     return sorted((Fraction(mu, d), mult) for mu, mult in roots), remainder
 

@@ -85,8 +85,10 @@ class RankPattern:
             r"\s*n\s*=\s*([0-9]+)\s*:\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*", text)
         if not m:
             raise ValueError(f"malformed rank pattern: {text!r}")
-        n = int(m.group(1))
-        ranks = [int(tok) for tok in m.group(2).split(",")]
+        try:
+            n, *ranks = map(int, [m.group(1), *m.group(2).split(",")])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ValueError("malformed rank pattern: integer too long") from None
         return cls(n, ranks)
 
     def __eq__(self, other) -> bool:

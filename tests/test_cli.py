@@ -300,6 +300,23 @@ def test_analyze_rejects_overlong_integer(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["count", "7" * 5000], "N: integer too long"),
+    (["enumerate", "-" + "7" * 5000], "N: integer too long"),
+    (["render", "2", "--columns", "7" * 5000], "--columns: integer too long"),
+    (["render", "2", "--columns=" + "7" * 5000], "--columns: integer too long"),
+    (["rankpattern", "n=3: 3,2," + "7" * 5000],
+     "malformed rank pattern: integer too long"),
+    (["rankpattern", "n=" + "7" * 5000 + ": 3"],
+     "malformed rank pattern: integer too long"),
+])
+def test_overlong_integer_arguments(argv, message, capsys):
+    # more digits than int() reads by default (sys.get_int_max_str_digits())
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def first_line_then_close(args, timeout, size=None, preexec_fn=None):
     """Run `python -m segrekit ARGS`, read one line of its stdout (or `size`
     bytes) and close the pipe; return what was read, the exit code and

@@ -221,10 +221,10 @@ def test_internal_inconsistency_is_runtime_error():
 def test_stop_at_multiplicity_keeps_the_cross_check(monkeypatch, rows):
     a = ExactMatrix.from_rows(rows)
     analyze(a)
-    # (x - 1)(x - 2)^2, where the truth is (x - 1)^2 (x - 2), as the proven
-    # polynomial
+    # (x - 1)(x - 2)^2, where the truth is (x - 1)^2 (x - 2), as the only,
+    # so proven, polynomial
     monkeypatch.setattr(jordan, "_char_polys",
-                        lambda b: iter([([-4, 8, -5, 1], True)]))
+                        lambda b: iter([[-4, 8, -5, 1]]))
     with pytest.raises(InternalInconsistencyError):
         analyze(a)
 
@@ -253,7 +253,7 @@ def test_a_wrong_unproven_polynomial_gives_way(monkeypatch, rows, wrong):
     expected = analyze(a)
     candidates = jordan._char_polys
     monkeypatch.setattr(jordan, "_char_polys", lambda b: itertools.chain(
-        [(wrong, False)], candidates(b)))
+        [wrong], candidates(b)))
     searched = spy_on_root_searches(monkeypatch)
     report = analyze(a)
     assert report == expected
@@ -261,24 +261,45 @@ def test_a_wrong_unproven_polynomial_gives_way(monkeypatch, rows, wrong):
     assert searched == [wrong, [-2, 5, -4, 1]]
 
 
-def test_certified_first_prime_polynomial_skips_the_rest(monkeypatch):
-    # the bound asks for two primes; the first one's polynomial is
-    # certified by the ladders, so the second is never computed
+def spy_on_residues(monkeypatch):
     residues = []
     char_poly_mod = linalg._char_poly_mod
     monkeypatch.setattr(linalg, "_char_poly_mod", lambda b, p: residues.append(
         p) or char_poly_mod(b, p))
-    a = ExactMatrix.from_rows([[1, 10 ** 30, 0], [0, 1, 0], [0, 0, 2]])
-    assert str(analyze(a).segre) == "[(2),(1)]"
+    return residues
+
+
+def test_certified_first_prime_polynomial_skips_the_rest(monkeypatch):
+    # the bound asks for two primes; the first one's polynomial is
+    # certified by the ladders, so the second is never computed
+    residues = spy_on_residues(monkeypatch)
+    rows = [[1, 10 ** 30, 0], [0, 1, 0], [0, 0, 2]]
+    assert str(analyze(ExactMatrix.from_rows(rows)).segre) == "[(2),(1)]"
     assert residues == [linalg._prime(0)]
-    assert [proven for _, proven in linalg._char_polys(
-        [[1, 10 ** 30, 0], [0, 1, 0], [0, 0, 2]])] == [False, True]
+    # the second prime leaves the reconstruction as it was, so the proven
+    # polynomial is no new candidate
+    assert list(linalg._char_polys(rows)) == [[-2, 5, -4, 1]]
+
+
+def test_a_new_reconstruction_is_tried_at_once(monkeypatch):
+    # (x - 2^35)^2: the bound asks for three primes, and the coefficient
+    # 2^70 needs two, whose reconstruction is tried and certified with no
+    # third prime to confirm it
+    residues = spy_on_residues(monkeypatch)
+    rows = [[2 ** 35, 10 ** 30], [0, 2 ** 35]]
+    assert str(analyze(ExactMatrix.from_rows(rows)).segre) == "[(2)]"
+    assert residues == [linalg._prime(0), linalg._prime(1)]
+    residues.clear()
+    candidates = list(linalg._char_polys(rows))
+    assert residues == [linalg._prime(i) for i in range(3)]
+    assert len(candidates) == 2
+    assert candidates[-1] == [2 ** 70, -2 ** 36, 1]
 
 
 def test_a_failed_polynomial_is_not_run_again(monkeypatch):
     # x^2 - 2 conjugated by I + c*e_01: entries near c^2 put the bound at
-    # two primes, and the first prime's polynomial is already right; it
-    # fails once, unproven, and its error is the proven polynomial's
+    # two primes, and the first prime's polynomial is already right; the
+    # proven one equals it, so it is searched once, and its error is raised
     c = 10 ** 10
     a = ExactMatrix.from_rows([[c, 2 - c * c], [1, -c]])
     searched = spy_on_root_searches(monkeypatch)

@@ -90,6 +90,21 @@ def test_a_bool_is_never_a_number():
             use()
 
 
+def test_a_string_scalar_follows_the_entry_grammar():
+    a = ExactMatrix.identity(2)
+    half = ExactMatrix.from_rows([["1/2", 0], [0, "1/2"]])
+    assert a * "1/2" == "1/2" * a == half == a - shift(a, "1/2")
+    for text in ("2.5", "1e3", " 1", "+1", "1/-2", "", "x"):
+        for use in (lambda: a * text, lambda: text * a,
+                    lambda: shift(a, text)):
+            with pytest.raises(ValueError, match="entry strings must be"):
+                use()
+    for use in (lambda: a * "1/0", lambda: "1/0" * a,
+                lambda: shift(a, "1/0")):
+        with pytest.raises(ZeroDivisionError):
+            use()
+
+
 def test_mat_mul_needs_two_matrices():
     a = ExactMatrix.identity(2)
     for args in ((a, 5), (5, a), (a, [[1, 0], [0, 1]]), (a, Fraction(1, 2))):
@@ -114,8 +129,7 @@ def matrices(rows, cols):
 def operands(draw):
     r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
     return (draw(matrices(r, k)), draw(matrices(r, k)), draw(matrices(k, c)),
-            draw(matrices(r, r)), draw(st.one_of(st.integers(-4, 4), numbers)),
-            draw(entries))
+            draw(matrices(r, r)), draw(entries), draw(entries))
 
 
 def assert_same(got, want):
@@ -136,6 +150,7 @@ def assert_same(got, want):
 @example(([[0, 0]], [[0, 0]], [[0], [0]], [[0]], 0, 0))
 @example(([["1/2", "-1/6"]], [["1/2", Fraction(1, 6)]], [["2/3"], [6]],
           [["1/3"]], Fraction(3, 2), "1/3"))
+@example(([["1/2", 3]], [[0, "-2/3"]], [[1], ["1/6"]], [[2]], "-3/2", 0))
 def test_integer_storage_matches_fraction_entries(ops):
     a_rows, b_rows, c_rows, s_rows, scalar, lam = ops
     a, b, c, s = (ExactMatrix.from_rows(x)
@@ -147,8 +162,8 @@ def test_integer_storage_matches_fraction_entries(ops):
         (a + b, oa + ob),
         (a - b, oa - ob),
         (b - a, ob - oa),
-        (a * scalar, oa.scaled(scalar)),
-        (scalar * a, oa.scaled(scalar)),
+        (a * scalar, oa.scaled(Fraction(scalar))),
+        (scalar * a, oa.scaled(Fraction(scalar))),
         (mat_mul(a, c), oa.mat_mul(oc)),
         (a * c, oa.mat_mul(oc)),
         (shift(s, lam), os_.shift(lam)),
