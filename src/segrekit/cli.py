@@ -114,9 +114,9 @@ def cmd_analyze(args) -> int:
         return _fail(f"{args.matrix_file} is not valid JSON: {exc}", EXIT_USAGE)
     except RecursionError:  # json.load recurses once per nested [ or {
         return _fail(f"{args.matrix_file} is nested too deeply", EXIT_USAGE)
-    except ValueError as exc:
+    except ValueError:
         # int() refuses decimal literals beyond sys.get_int_max_str_digits()
-        return _fail(f"{args.matrix_file} holds a number too long to read: {exc}",
+        return _fail(f"{args.matrix_file} holds an integer too long to read",
                      EXIT_USAGE)
     try:
         matrix = matrix_from_json_dict(data)

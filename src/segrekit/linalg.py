@@ -8,13 +8,13 @@ runs on the integer rows.  Products take inner products with
 sum(map(mul, row, col)).  Ranks come from fraction-free Bareiss
 elimination done column by column, each column replayed through the
 steps recorded so far, where a step with a zero multiplier only defers a
-rescale; jordan's rank patterns replay more columns through the same
-record and back-substitute its echelon.
+rescale; rank patterns replay more columns through the same record and
+back-substitute its echelon.
 Characteristic polynomials come from a Hessenberg reduction
 modulo primes just below 2**62, combined by the Chinese remainder theorem
 up to a Hadamard-type bound on the coefficients, which proves them; each
 reconstruction that differs from the one before it is a candidate, which
-jordan.analyze accepts only when its rank patterns certify it.  The
+_spectrum accepts only when the rank patterns of its roots certify it.  The
 polynomial is monic, so its rational roots are integers; the same primes
 give its square-free part by a modular gcd proven by exact division,
 whose roots modulo a small prime are lifted p-adically, in time
@@ -49,9 +49,14 @@ def _as_fraction(value) -> Fraction:
         raise TypeError(f"float entries are not exact, got {value!r}")
     if isinstance(value, bool):
         raise TypeError(f"entries must be numbers, got {value!r}")
-    if isinstance(value, str) and not _ENTRY_TEXT.fullmatch(value):
-        raise ValueError(
-            f"entry strings must be an integer or 'p/q', got {value!r}")
+    if isinstance(value, str):
+        if not _ENTRY_TEXT.fullmatch(value):
+            raise ValueError(
+                f"entry strings must be an integer or 'p/q', got {value!r}")
+        try:
+            return Fraction(value)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ValueError("entry string too long to read") from None
     return Fraction(value)
 
 
@@ -345,6 +350,75 @@ def _preimage(steps: list[tuple], n: int, top: list[int]) -> list[int]:
     back-substitution on U with right side D*top stays integral."""
     d = steps[-1][1][0]
     return _back_substitute(steps, [0] * n, [d * y for y in top])
+
+
+def _rank_pattern(b: list[list[int]], mu: int, m: int) -> list[int]:
+    """Ranks of (b - mu*I)^k for an integer matrix b, k = 0, 1, ... until
+    the nullity n - r reaches m or the rank repeats.
+
+    One recorded elimination of N = b - mu*I gives r_1 and a basis of
+    ker N; no power of N is formed.  The kernels V_k = ker N^k are climbed
+    as a ladder: V_{k+1} is V_k plus one preimage under N of each new
+    direction of V_k inside im N.  Each vector of level k is replayed once
+    through the elimination, and its residual is reduced against those of
+    the vectors before it by integer row operations on whole replays,
+    which carry the coefficients of the combination along.  Each reduced
+    row, coefficients included, is made primitive, so it is the primitive
+    part of the row of fraction-free (Bareiss) reduction, with entries no
+    larger than minors of the replays.  A residual that reduces to zero
+    marks an integer combination u of those vectors in im N, and the top
+    that comes with it is that of u's replay, which back-substitution
+    turns into a vector of level k + 1.  So the increment q_{k+1} of the
+    nullity is the number of level-k residuals that reduce to zero, and a
+    pattern costs O(n^3 + m*n^2) instead of one product and one
+    elimination per power.  Every nullity is counted, never inferred from
+    m, and an increment that grows raises InternalInconsistencyError.
+
+    With m the algebraic multiplicity of mu, the nullity grows to m and
+    stays there, so stopping at m saves the level that would only confirm
+    it; m = n stops at rank 0 or at a repeat, the whole stabilized pattern.
+    The pattern stays a check on m: an m above the multiplicity is never
+    reached, and an m below it puts another eigenvalue's m above, as the m
+    of a rational spectrum sum to n; _spectrum then tries the next candidate.
+    """
+    shifted = [list(row) for row in b]
+    for i, row in enumerate(shifted):
+        row[i] -= mu
+    n = len(b)
+    steps = _eliminate(shifted)
+    d = q = d1 = n - len(steps)
+    ranks = [n, len(steps)] if d else [n]
+    level = _kernel(steps, n) if d < m else []
+    # (pivot, row): rows [residual | top | coefficients], made primitive,
+    # whose residual stayed nonzero.  `count` vectors have been replayed,
+    # fewer than m, as they are independent and replayed only while the
+    # nullity is below m.
+    found, count = [], 0
+    while level:
+        tops = []
+        for v in level:
+            row = _replay(steps, v) + [0] * m
+            row[n + count] = 1
+            count += 1
+            for p, other in found:
+                c = row[p]
+                if c:
+                    a = other[p]
+                    row = _primitive([a * x - c * y
+                                      for x, y in zip(row, other)])
+            if any(row[:d1]):
+                found.append((row.index(next(filter(None, row))), row))
+            else:
+                tops.append(row[d1:n])
+        if len(tops) > q:
+            raise InternalInconsistencyError(
+                f"nullity increment grew from {q} to {len(tops)}")
+        q = len(tops)
+        if q:
+            d += q
+            ranks.append(n - d)
+        level = [_preimage(steps, n, top) for top in tops] if d < m else []
+    return ranks
 
 
 # The largest primes below 2**62, descending.  Only ever extended, and only
@@ -665,6 +739,37 @@ def _rational_roots(f: list[int]) -> tuple[list[tuple[int, int]], int]:
     return roots, len(f) - 1
 
 
+def _spectrum(b: list[list[int]]) -> tuple[list[tuple[int, list[int]]], int]:
+    """The integer eigenvalues mu of a square integer matrix b, ascending,
+    each with the ranks of (b - mu*I)^k up to its multiplicity m
+    (_rank_pattern), and 0; or [] and the degree of the rootless factor of
+    det(xI - b), if it has one.
+
+    _spectrum tries the next candidate of _char_polys until one splits
+    over the integers and every mu's nullity reaches its m.  That
+    certifies it: the generalized eigenspaces then fill Q^n, so the
+    polynomial is prod (x - mu)^m.  The last candidate is proven, so a
+    nullity that misses its m there raises InternalInconsistencyError.
+    """
+    n = len(b)
+    for coeffs in _char_polys(b):
+        roots, remainder = _rational_roots(coeffs)
+        if remainder:
+            continue
+        spectrum = []
+        for mu, m in sorted(roots):
+            ranks = _rank_pattern(b, mu, m)
+            if n - ranks[-1] != m:
+                break
+            spectrum.append((mu, ranks))
+        else:
+            return spectrum, 0
+    if remainder:
+        return [], remainder
+    raise InternalInconsistencyError(
+        f"eigenvalue {mu} has multiplicity {m} but nullity {n - ranks[-1]}")
+
+
 def rational_eigenvalues(a: ExactMatrix) -> tuple[list[tuple[Fraction, int]], int]:
     """Eigenvalues of a lying in Q, with algebraic multiplicities, ascending.
 
@@ -678,6 +783,12 @@ def rational_eigenvalues(a: ExactMatrix) -> tuple[list[tuple[Fraction, int]], in
     b, d = a._ints, a._d
     roots, remainder = _rational_roots(_int_char_poly(b))
     return sorted((Fraction(mu, d), mult) for mu, mult in roots), remainder
+
+
+def _shown(value) -> str:
+    """repr(value), cut to its first 40 characters and "..." if longer."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def matrix_from_json_dict(data) -> ExactMatrix:
@@ -703,10 +814,14 @@ def matrix_from_json_dict(data) -> ExactMatrix:
             raise ValueError(f"row {i} must be a list of {cols} entries")
         for j, e in enumerate(row):
             if isinstance(e, bool) or not isinstance(e, (int, str)):
-                raise ValueError(
-                    f"entry ({i}, {j}) must be an integer or 'p/q' string, got {e!r}")
+                raise ValueError(f"entry ({i}, {j}) must be an integer or "
+                                 f"'p/q' string, got {_shown(e)}")
             try:
                 flat.append(_entry(e))
             except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"entry ({i}, {j}) is not a valid fraction: {e!r}") from exc
+                # text in the grammar fails only on q = 0 or on its length
+                long = isinstance(exc, ValueError) and _ENTRY_TEXT.fullmatch(e)
+                problem = "too long to read" if long else "not a valid fraction"
+                raise ValueError(
+                    f"entry ({i}, {j}) is {problem}: {_shown(e)}") from exc
     return ExactMatrix(rows, cols, flat)

@@ -295,9 +295,23 @@ def test_analyze_rejects_overlong_integer(tmp_path, capsys):
     path.write_text('{"rows": 1, "cols": 1, "entries": [[' + "7" * 5000 + "]]}",
                     encoding="utf-8")
     assert main(["analyze", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "too long" in err
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        f"error: {path} holds an integer too long to read\n")
+
+
+def test_analyze_rejects_overlong_fraction_entry(tmp_path):
+    # the entry is in the grammar but has more digits than int() reads;
+    # the error names its position and echoes only a prefix of it
+    path = tmp_path / "huge.json"
+    path.write_text('{"rows": 1, "cols": 1, "entries": [["' + "7" * 5000
+                    + '/3"]]}', encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "segrekit", "analyze",
+                           str(path)], env=env, capture_output=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(b"error: entry (0, 0) is too long to read")
+    assert done.stderr.count(b"\n") == 1 and len(done.stderr) < 200
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -153,6 +153,10 @@ def test_exactness_checks_survive_python_O():
         from fractions import Fraction
         from segrekit import InternalInconsistencyError, linalg, segre
         assert False, "asserts must be stripped"
+        def spectrum_of_a_wrong_proven_candidate():
+            # (x - 2)^3 for diag(2, 2, 1): eigenvalue 2 stops at nullity 2
+            linalg._char_polys = lambda b: iter([[-8, 12, -6, 1]])
+            linalg._spectrum([[2, 0, 0], [0, 2, 0], [0, 0, 1]])
         cases = [
             lambda: linalg._replay(
                 linalg._eliminate([[2, 1, 0], [1, 2, 1], [0, 1, 2]]),
@@ -171,6 +175,9 @@ def test_exactness_checks_survive_python_O():
                                      [0, 1]),
             lambda: linalg._rational_roots([1, 1]),
             lambda: segre.count_segre_gf(3),
+            # a last, proven candidate whose ladder misses its multiplicity;
+            # last in the list, as it replaces _char_polys for good
+            spectrum_of_a_wrong_proven_candidate,
         ]
         # residues whose c_{n-1} disagrees with the trace
         residues = linalg._char_poly_mod
@@ -192,4 +199,4 @@ def test_exactness_checks_survive_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["raised"] * 7
+    assert done.stdout.split() == ["raised"] * 8

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from segrekit import jordan, linalg
+from segrekit import linalg
 from segrekit import (ExactMatrix, InternalInconsistencyError,
                       IrrationalEigenvalueError, JordanSpec, Partition,
                       RankPattern, SegreCharacteristic, analyze, build_jordan,
@@ -214,25 +214,31 @@ def test_internal_inconsistency_is_runtime_error():
     assert issubclass(InternalInconsistencyError, RuntimeError)
 
 
-@pytest.mark.parametrize("rows", [
-    [[1, 0, 0], [0, 1, 0], [0, 0, 2]],  # eigenvalue 1 overshoots m = 1
-    [[1, 1, 0], [0, 1, 0], [0, 0, 2]],  # 1 meets m = 1; 2 misses m = 2
-])
-def test_stop_at_multiplicity_keeps_the_cross_check(monkeypatch, rows):
+@pytest.mark.parametrize("rows, message", [
+    # eigenvalue 1 overshoots m = 1
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+     "eigenvalue 1 has multiplicity 1 but nullity 2"),
+    # 1 meets m = 1; 2 misses m = 2
+    ([[1, 1, 0], [0, 1, 0], [0, 0, 2]],
+     "eigenvalue 2 has multiplicity 2 but nullity 1"),
+], ids=["rows0", "rows1"])
+def test_stop_at_multiplicity_keeps_the_cross_check(monkeypatch, rows,
+                                                    message):
     a = ExactMatrix.from_rows(rows)
     analyze(a)
     # (x - 1)(x - 2)^2, where the truth is (x - 1)^2 (x - 2), as the only,
     # so proven, polynomial
-    monkeypatch.setattr(jordan, "_char_polys",
+    monkeypatch.setattr(linalg, "_char_polys",
                         lambda b: iter([[-4, 8, -5, 1]]))
-    with pytest.raises(InternalInconsistencyError):
+    with pytest.raises(InternalInconsistencyError) as exc_info:
         analyze(a)
+    assert str(exc_info.value) == message
 
 
 def spy_on_root_searches(monkeypatch):
     searched = []
-    search = jordan._rational_roots
-    monkeypatch.setattr(jordan, "_rational_roots", lambda f: searched.append(
+    search = linalg._rational_roots
+    monkeypatch.setattr(linalg, "_rational_roots", lambda f: searched.append(
         list(f)) or search(f))
     return searched
 
@@ -251,14 +257,37 @@ def spy_on_root_searches(monkeypatch):
 def test_a_wrong_unproven_polynomial_gives_way(monkeypatch, rows, wrong):
     a = ExactMatrix.from_rows(rows)
     expected = analyze(a)
-    candidates = jordan._char_polys
-    monkeypatch.setattr(jordan, "_char_polys", lambda b: itertools.chain(
+    candidates = linalg._char_polys
+    monkeypatch.setattr(linalg, "_char_polys", lambda b: itertools.chain(
         [wrong], candidates(b)))
     searched = spy_on_root_searches(monkeypatch)
     report = analyze(a)
     assert report == expected
     assert repr(report) == repr(expected)
     assert searched == [wrong, [-2, 5, -4, 1]]
+
+
+def test_a_failed_check_on_a_wrong_candidate_is_raised(monkeypatch):
+    # the first ladder, on the wrong candidate's eigenvalue 1, fails a
+    # check: that is a bug, not a wrong candidate, so analyze must not
+    # return the next candidate's report
+    a = ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    candidates = linalg._char_polys
+    monkeypatch.setattr(linalg, "_char_polys", lambda b: itertools.chain(
+        [[-4, 8, -5, 1]], candidates(b)))
+    calls = []
+    rank_pattern = linalg._rank_pattern
+
+    def failing_first(b, mu, m):
+        calls.append(mu)
+        if len(calls) == 1:
+            raise InternalInconsistencyError("injected")
+        return rank_pattern(b, mu, m)
+
+    monkeypatch.setattr(linalg, "_rank_pattern", failing_first)
+    with pytest.raises(InternalInconsistencyError, match="injected"):
+        analyze(a)
+    assert calls == [1]
 
 
 def spy_on_residues(monkeypatch):

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from segrekit import (ExactMatrix, JordanSpec, PolynomialZ, build_jordan,
-                      char_poly, mat_mul, matrix_from_json_dict, rank,
-                      rational_eigenvalues, shift)
+from segrekit import (ExactMatrix, JordanSpec, PolynomialZ,
+                      SegreCharacteristic, build_jordan, char_poly, mat_mul,
+                      matrix_from_json_dict, rank, rational_eigenvalues, shift)
 from segrekit.linalg import _rational_roots
 
 from oracles import (FractionMatrix, gaussian_rank, poly_from_linear_factors,
@@ -398,4 +398,34 @@ def test_json_validation():
     for bad in bad_cases:
         with pytest.raises(ValueError):
             matrix_from_json_dict(bad)
+
+
+def test_overlong_entry_strings_are_one_short_error():
+    # in the grammar, but with more digits than int() reads
+    a = ExactMatrix.identity(2)
+    for text in ("7" * 5000 + "/3", "-3/" + "7" * 5000, "7" * 5000):
+        for use in (lambda: ExactMatrix.from_rows([[text]]),
+                    lambda: shift(a, text), lambda: a * text,
+                    lambda: text * a,
+                    lambda: JordanSpec(SegreCharacteristic([[1]]), [text])):
+            with pytest.raises(ValueError) as exc_info:
+                use()
+            assert str(exc_info.value) == "entry string too long to read"
+        with pytest.raises(ValueError) as exc_info:
+            matrix_from_json_dict({"rows": 1, "cols": 2,
+                                   "entries": [[0, text]]})
+        assert str(exc_info.value) == (
+            "entry (0, 1) is too long to read: '" + text[:39] + "...")
+    # a short invalid entry is echoed whole, a long one only in part
+    for entry, message in [
+            ("1/0", "entry (0, 0) is not a valid fraction: '1/0'"),
+            ("x" * 5000, "entry (0, 0) is not a valid fraction: '"
+             + "x" * 39 + "..."),
+            ([7] * 5000, "entry (0, 0) must be an integer or 'p/q' string, "
+             "got [" + "7, " * 13 + "..."),
+    ]:
+        with pytest.raises(ValueError) as exc_info:
+            matrix_from_json_dict({"rows": 1, "cols": 1,
+                                   "entries": [[entry]]})
+        assert str(exc_info.value) == message
 

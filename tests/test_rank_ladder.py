@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from segrekit import (ExactMatrix, InternalInconsistencyError, JordanSpec,
-                      Partition, SegreCharacteristic, build_jordan, jordan,
-                      linalg, rank_pattern_from_blocks, rank_pattern_of)
+                      Partition, SegreCharacteristic, build_jordan, linalg,
+                      rank_pattern_from_blocks, rank_pattern_of)
 
 from oracles import (fraction_det, fraction_rank_pattern, gaussian_rank,
                      rank_pattern_by_powers)
@@ -90,7 +90,7 @@ def test_ladder_matches_powers_and_fractions(b):
     for mu in range(-3, 4):
         full = list(fraction_rank_pattern(b, mu))
         for m in range(1, n + 1):
-            got = jordan._rank_pattern(b, mu, m)
+            got = linalg._rank_pattern(b, mu, m)
             assert got == rank_pattern_by_powers(b, mu, m), (mu, m)
             assert got == truncated(full, n, m), (mu, m)
 
@@ -121,9 +121,9 @@ def test_long_blocks_match_closed_form(case):
     n = len(rows)
     for group, lam in zip(groups, eigenvalues):
         expected = list(rank_pattern_from_blocks(Partition(group), n).ranks)
-        assert jordan._rank_pattern(rows, lam, n) == expected
-        assert jordan._rank_pattern(rows, lam, sum(group)) == expected
-    assert jordan._rank_pattern(rows, 9, n) == [n]
+        assert linalg._rank_pattern(rows, lam, n) == expected
+        assert linalg._rank_pattern(rows, lam, sum(group)) == expected
+    assert linalg._rank_pattern(rows, 9, n) == [n]
 
 
 def test_wide_eigenvalue():
@@ -135,7 +135,7 @@ def test_wide_eigenvalue():
     for group, lam in zip(groups, [1, -1]):
         expected = list(rank_pattern_from_blocks(Partition(group), 37).ranks)
         for m in (sum(group), 37):
-            assert jordan._rank_pattern(rows, lam, m) == expected
+            assert linalg._rank_pattern(rows, lam, m) == expected
             assert rank_pattern_by_powers(rows, lam, m) == expected
     a = ExactMatrix.from_rows(rows)
     assert rank_pattern_of(a, 1).ranks == (37, 20, 4)
@@ -148,8 +148,8 @@ def test_many_blocks_under_dense_conjugation(blocks, monkeypatch):
     # without content removal in the residual reduction, the reduced rows
     # grow by a factor per stored row
     tops = []
-    preimage = jordan._preimage
-    monkeypatch.setattr(jordan, "_preimage", lambda steps, n, top:
+    preimage = linalg._preimage
+    monkeypatch.setattr(linalg, "_preimage", lambda steps, n, top:
                         tops.append(top) or preimage(steps, n, top))
     rows = jordan_rows([blocks], [0])
     n = len(rows)
@@ -157,8 +157,8 @@ def test_many_blocks_under_dense_conjugation(blocks, monkeypatch):
     rows = conjugate(rows, [(rng.randrange(n), rng.randrange(n),
                              rng.choice([-1, 1])) for _ in range(10 * n)])
     expected = list(rank_pattern_from_blocks(Partition(blocks), n).ranks)
-    assert jordan._rank_pattern(rows, 0, n) == expected
-    assert jordan._rank_pattern(rows, 0, len(blocks) + 1) == expected[:3]
+    assert linalg._rank_pattern(rows, 0, n) == expected
+    assert linalg._rank_pattern(rows, 0, len(blocks) + 1) == expected[:3]
     # the tops sent to back-substitution (none when the last level is 2)
     # stay below the size of the minors of N^s, s the largest block, which
     # the power loop formed
@@ -171,8 +171,8 @@ def test_growing_increment_is_an_internal_error(monkeypatch):
     # a kernel basis that lists each vector twice makes level 1 yield two
     # preimages where ker N has one direction: q would grow from 1 to 2,
     # which blocks_from_rank_pattern would reject as bad input
-    kernel = jordan._kernel
-    monkeypatch.setattr(jordan, "_kernel",
+    kernel = linalg._kernel
+    monkeypatch.setattr(linalg, "_kernel",
                         lambda steps, n: kernel(steps, n) * 2)
     a = build_jordan(JordanSpec(SegreCharacteristic([[3]]), [0]))
     with pytest.raises(InternalInconsistencyError, match="grew from 1 to 2"):
