@@ -11,6 +11,8 @@ import os
 import sys
 from types import SimpleNamespace
 
+from .partitions import _shown
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
@@ -32,7 +34,7 @@ def _integer(text: str) -> int:
     # -?[0-9]+ only: int() also takes non-ASCII digits, padding, "+" and "_"
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid integer {text!r}: use ASCII digits 0-9")
+        raise ValueError(f"invalid integer {_shown(text)}: use ASCII digits 0-9")
     try:
         return int(text)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
@@ -179,8 +181,8 @@ def cmd_rankpattern(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     if pattern.dimension > MAX_PATTERN_DIMENSION:
-        return _fail(f"dimension {pattern.dimension} exceeds the limit of "
-                     f"{MAX_PATTERN_DIMENSION}", EXIT_USAGE)
+        return _fail(f"dimension {_shown(pattern.dimension)} exceeds the "
+                     f"limit of {MAX_PATTERN_DIMENSION}", EXIT_USAGE)
     try:
         growth = nullity_growth(pattern)
     except NonMonotoneGrowthError as exc:
@@ -246,7 +248,7 @@ def parse_args(argv):
     if "-h" in argv or "--help" in argv:
         return cmd_help, command if command in COMMANDS else None
     if command not in COMMANDS:
-        what = f"unknown command {command!r}" if argv else "no command"
+        what = f"unknown command {_shown(command)}" if argv else "no command"
         raise ValueError(f"{what}; choose from {', '.join(COMMANDS)}")
     handler, (positional, convert), options, _ = COMMANDS[command]
     args = {"command": command, **{o[2:]: d for o, (_, d) in options.items()}}
@@ -254,18 +256,19 @@ def parse_args(argv):
     for token in tokens:
         if not _is_option(token, options):
             if positional in args:
-                raise ValueError(f"unexpected argument {token!r}")
+                raise ValueError(f"unexpected argument {_shown(token)}")
             args[positional] = _convert(convert, token, positional.upper())
             continue
         option, equals, value = token.partition("=")
         if option not in options:
-            raise ValueError(f"unknown option {option!r} for {command}")
+            raise ValueError(f"unknown option {_shown(option)} for {command}")
         # the end of argv reads as "--", which is no value
         if not equals and _is_option(value := next(tokens, "--"), options):
             raise ValueError(f"{option} needs a value")
         kind = options[option][0]
         if isinstance(kind, tuple) and value not in kind:
-            raise ValueError(f"{option} takes {'|'.join(kind)}, not {value!r}")
+            raise ValueError(
+                f"{option} takes {'|'.join(kind)}, not {_shown(value)}")
         args[option[2:]] = (value if isinstance(kind, tuple)
                             else _convert(kind, value, option))
     if positional not in args:

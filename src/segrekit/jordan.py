@@ -12,8 +12,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .linalg import (ExactMatrix, shift, _as_fraction, _rank_pattern,
-                     _spectrum)
+from .linalg import ExactMatrix, shift, _rank_pattern, _ratio, _spectrum
 from .rank_analysis import RankPattern, blocks_from_rank_pattern
 from .segre import SegreCharacteristic
 
@@ -45,7 +44,7 @@ class JordanSpec:
     def __init__(self, segre: SegreCharacteristic, eigenvalues):
         if not isinstance(segre, SegreCharacteristic):
             segre = SegreCharacteristic(segre)
-        eigs = tuple(_as_fraction(e) for e in eigenvalues)
+        eigs = tuple(Fraction(*_ratio(e)) for e in eigenvalues)
         if len(eigs) != len(segre.groups):
             raise ValueError(
                 f"{len(segre.groups)} groups need {len(segre.groups)} "

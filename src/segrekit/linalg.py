@@ -34,7 +34,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from operator import mul
 
-from .partitions import InternalInconsistencyError, _integer
+from .partitions import InternalInconsistencyError, _integer, _shown
 
 
 # the entry strings the README promises: an integer or "p/q", ASCII digits
@@ -42,27 +42,25 @@ from .partitions import InternalInconsistencyError, _integer
 _ENTRY_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _as_fraction(value) -> Fraction:
-    if type(value) is Fraction:  # immutable: no copy needed
-        return value
+def _ratio(value) -> tuple[int, int]:
+    """An entry, shift or scalar factor as (p, q) in lowest terms, q >= 1:
+    an int, a Fraction, a string matching _ENTRY_TEXT, or another number
+    that Fraction reads exactly; a float or a bool raises TypeError."""
+    if type(value) in (int, Fraction):
+        return value.as_integer_ratio()
     if isinstance(value, float):
-        raise TypeError(f"float entries are not exact, got {value!r}")
+        raise TypeError(f"float entries are not exact, got {_shown(value)}")
     if isinstance(value, bool):
-        raise TypeError(f"entries must be numbers, got {value!r}")
+        raise TypeError(f"entries must be numbers, got {_shown(value)}")
     if isinstance(value, str):
         if not _ENTRY_TEXT.fullmatch(value):
-            raise ValueError(
-                f"entry strings must be an integer or 'p/q', got {value!r}")
+            raise ValueError("entry strings must be an integer or 'p/q', "
+                             f"got {_shown(value)}")
         try:
-            return Fraction(value)
+            return Fraction(value).as_integer_ratio()
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             raise ValueError("entry string too long to read") from None
-    return Fraction(value)
-
-
-def _entry(value):
-    """A valid entry as an int or, if it is not an int, a Fraction."""
-    return value if type(value) is int else _as_fraction(value)
+    return Fraction(value).as_integer_ratio()
 
 
 class ExactMatrix:
@@ -79,10 +77,10 @@ class ExactMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable):
         _integer(rows, "rows", 1)
         _integer(cols, "cols", 1)
-        es = [_entry(e).as_integer_ratio() for e in entries]
+        es = [_ratio(e) for e in entries]
         if len(es) != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries for {rows}x{cols}, got {len(es)}")
+            raise ValueError(f"expected {_shown(rows * cols)} entries for "
+                             f"{_shown(rows)}x{_shown(cols)}, got {len(es)}")
         # over the lcm of lowest-terms denominators no common factor is left
         d = math.lcm(*{q for _, q in es})
         flat = tuple(p * (d // q) for p, q in es)
@@ -138,7 +136,8 @@ class ExactMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         """0-based access."""
         if not (0 <= i < self._rows and 0 <= j < self._cols):
-            raise IndexError(f"({i}, {j}) outside {self._rows}x{self._cols}")
+            raise IndexError(f"({_shown(i)}, {_shown(j)}) outside "
+                             f"{self._rows}x{self._cols}")
         return Fraction(self._ints[i][j], self._d)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
@@ -146,7 +145,8 @@ class ExactMatrix:
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         if not 0 <= i < self._rows:
-            raise IndexError(f"row {i} outside {self._rows}x{self._cols}")
+            raise IndexError(
+                f"row {_shown(i)} outside {self._rows}x{self._cols}")
         d = self._d
         return tuple(Fraction(x, d) for x in self._ints[i])
 
@@ -175,7 +175,7 @@ class ExactMatrix:
         if isinstance(other, ExactMatrix):
             return mat_mul(self, other)
         if isinstance(other, (int, Fraction, str)):
-            p, q = _entry(other).as_integer_ratio()  # a bool raises here
+            p, q = _ratio(other)  # a bool raises here
             return ExactMatrix._from_ints(
                 [[p * x for x in row] for row in self._ints], q * self._d)
         return NotImplemented
@@ -214,7 +214,7 @@ def shift(a: ExactMatrix, lam) -> ExactMatrix:
     """a - lam*I."""
     if not a.is_square:
         raise ValueError("shift requires a square matrix")
-    p, q = _entry(lam).as_integer_ratio()
+    p, q = _ratio(lam)
     rows = [[q * x for x in row] for row in a._ints]
     for i, row in enumerate(rows):
         row[i] -= p * a._d
@@ -785,12 +785,6 @@ def rational_eigenvalues(a: ExactMatrix) -> tuple[list[tuple[Fraction, int]], in
     return sorted((Fraction(mu, d), mult) for mu, mult in roots), remainder
 
 
-def _shown(value) -> str:
-    """repr(value), cut to its first 40 characters and "..." if longer."""
-    text = repr(value)
-    return text if len(text) <= 40 else text[:40] + "..."
-
-
 def matrix_from_json_dict(data) -> ExactMatrix:
     """Matrix from {"rows": n, "cols": m, "entries": [[...], ...]}, validated.
 
@@ -807,21 +801,23 @@ def matrix_from_json_dict(data) -> ExactMatrix:
     cols = _integer(data["cols"], '"cols"', 1)
     entries = data["entries"]
     if not isinstance(entries, list) or len(entries) != rows:
-        raise ValueError(f'"entries" must be a list of {rows} rows')
+        raise ValueError(f'"entries" must be a list of {_shown(rows)} rows')
     flat = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
-            raise ValueError(f"row {i} must be a list of {cols} entries")
+            raise ValueError(
+                f"row {i} must be a list of {_shown(cols)} entries")
         for j, e in enumerate(row):
             if isinstance(e, bool) or not isinstance(e, (int, str)):
                 raise ValueError(f"entry ({i}, {j}) must be an integer or "
                                  f"'p/q' string, got {_shown(e)}")
             try:
-                flat.append(_entry(e))
+                p, q = _ratio(e)
             except (ValueError, ZeroDivisionError) as exc:
                 # text in the grammar fails only on q = 0 or on its length
                 long = isinstance(exc, ValueError) and _ENTRY_TEXT.fullmatch(e)
                 problem = "too long to read" if long else "not a valid fraction"
                 raise ValueError(
                     f"entry ({i}, {j}) is {problem}: {_shown(e)}") from exc
+            flat.append(Fraction(p, q) if q > 1 else p)
     return ExactMatrix(rows, cols, flat)

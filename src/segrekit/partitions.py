@@ -2,8 +2,8 @@
 
 A partition of n is a non-increasing sequence of positive integers summing
 to n; counts are exact and arbitrary precision.  The bottom layer, this
-module also holds the count check and InternalInconsistencyError that
-the other modules use.
+module also holds the count check, the quoting rule _shown and
+InternalInconsistencyError that the other modules use.
 """
 
 import threading
@@ -15,6 +15,20 @@ class InternalInconsistencyError(RuntimeError):
     arithmetic guarantees left a remainder; indicates a bug, not bad input."""
 
 
+def _shown(value) -> str:
+    """repr(value), cut to its first 40 characters and "..." if longer; for
+    a value past sys.get_int_max_str_digits() that repr refuses, its type,
+    or an int's sign and bit length."""
+    try:
+        text = repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return f"<{type(value).__name__} too long to show>"
+        sign = "negative" if value < 0 else "positive"
+        return f"<{sign} int of {value.bit_length()} bits>"
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _integer(value, name: str, least: int | None = None) -> int:
     """`value` if it is an int, not a bool, and at least `least` (0 or 1,
     when given); otherwise ValueError naming it.  The one check for every
@@ -24,7 +38,7 @@ def _integer(value, name: str, least: int | None = None) -> int:
         return value
     kind = {None: "an integer", 0: "a non-negative integer",
             1: "a positive integer"}[least]
-    raise ValueError(f"{name} must be {kind}, got {value!r}")
+    raise ValueError(f"{name} must be {kind}, got {_shown(value)}")
 
 
 class Partition:

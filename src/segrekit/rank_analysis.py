@@ -14,7 +14,7 @@ which serves as an independent oracle for rank computations.
 import re
 from collections.abc import Iterable
 
-from .partitions import Partition, _integer
+from .partitions import Partition, _integer, _shown
 
 
 class NonMonotoneGrowthError(ValueError):
@@ -52,13 +52,15 @@ class RankPattern:
             raise ValueError("a rank pattern needs at least r_0")
         for r in rs:
             if _integer(r, "rank") < 0 or r > dimension:
-                raise ValueError(f"rank {r} outside [0, {dimension}]")
+                raise ValueError(
+                    f"rank {_shown(r)} outside [0, {_shown(dimension)}]")
         if rs[0] != dimension:
-            raise ValueError(
-                f"r_0 must equal the dimension ({dimension}), got {rs[0]}")
+            raise ValueError(f"r_0 must equal the dimension "
+                             f"({_shown(dimension)}), got {_shown(rs[0])}")
         for a, b in zip(rs, rs[1:]):
             if b > a:
-                raise ValueError(f"ranks must be non-increasing, got {a} -> {b}")
+                raise ValueError(f"ranks must be non-increasing, "
+                                 f"got {_shown(a)} -> {_shown(b)}")
         # truncate the stabilized tail
         for k in range(1, len(rs)):
             if rs[k] == rs[k - 1]:
@@ -84,7 +86,7 @@ class RankPattern:
         m = re.fullmatch(
             r"\s*n\s*=\s*([0-9]+)\s*:\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*", text)
         if not m:
-            raise ValueError(f"malformed rank pattern: {text!r}")
+            raise ValueError(f"malformed rank pattern: {_shown(text)}")
         try:
             n, *ranks = map(int, [m.group(1), *m.group(2).split(",")])
         except ValueError:  # more digits than sys.get_int_max_str_digits()
@@ -140,8 +142,8 @@ def rank_pattern_from_blocks(blocks: Partition, dimension: int) -> RankPattern:
     if not isinstance(blocks, Partition):
         blocks = Partition(blocks)
     if blocks.weight > dimension:
-        raise ValueError(
-            f"blocks sum to {blocks.weight}, exceeding dimension {dimension}")
+        raise ValueError(f"blocks sum to {_shown(blocks.weight)}, "
+                         f"exceeding dimension {_shown(dimension)}")
     top = blocks.parts[0] if blocks else 0
     ranks = [dimension - sum(min(b, k) for b in blocks.parts)
              for k in range(top + 1)]

@@ -9,6 +9,7 @@ SVG output is byte deterministic: same input, same bytes.
 
 import string
 from collections import namedtuple
+from itertools import zip_longest
 
 from .partitions import InternalInconsistencyError, Partition, _integer
 
@@ -156,13 +157,8 @@ def render_ferrers(p: Partition) -> str:
 
 def render_ferrers_conjugate_pair(p: Partition) -> str:
     """A partition and its conjugate side by side, three spaces apart."""
-    if not p:
-        raise ValueError("cannot draw an empty partition")
-    q = p.conjugate()
-    pad = p.parts[0] + 3
-    lines = []
-    for i in range(max(len(p), len(q))):
-        left = "*" * p.parts[i] if i < len(p.parts) else ""
-        right = "*" * q.parts[i] if i < len(q.parts) else ""
-        lines.append((left.ljust(pad) + right) if right else left)
-    return "\n".join(lines)
+    columns = zip_longest(render_ferrers(p).split("\n"),
+                          render_ferrers(p.conjugate()).split("\n"),
+                          fillvalue="")
+    return "\n".join((left.ljust(p.parts[0] + 3) + right).rstrip()
+                     for left, right in columns)

@@ -331,6 +331,30 @@ def test_overlong_integer_arguments(argv, message, capsys):
     assert out == "" and err == f"error: {message}\n"
 
 
+# a token of 5,001 characters, not an integer, not a choice, not a command
+LONG_TOKEN = "7" * 5000 + "x"
+
+
+@pytest.mark.parametrize("argv, start", [
+    (["count", LONG_TOKEN], "error: N: invalid integer '777"),
+    (["count", "3", LONG_TOKEN], "error: unexpected argument '777"),
+    ([LONG_TOKEN], "error: unknown command '777"),
+    (["count", "3", "--method", LONG_TOKEN],
+     "error: --method takes gf|sum|both, not '777"),
+    (["count", "3", f"--{LONG_TOKEN}=1"], "error: unknown option '--777"),
+    (["render", "3", "--columns", LONG_TOKEN],
+     "error: --columns: invalid integer '777"),
+    (["rankpattern", f"n=4:{LONG_TOKEN}"],
+     "error: malformed rank pattern: 'n=4:777"),
+])
+def test_usage_errors_quote_a_long_token_in_part(argv, start, capsys):
+    # the error line quotes the first 40 characters of the token it names
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(start) and "..." in err
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
 def first_line_then_close(args, timeout, size=None, preexec_fn=None):
     """Run `python -m segrekit ARGS`, read one line of its stdout (or `size`
     bytes) and close the pipe; return what was read, the exit code and

@@ -429,3 +429,25 @@ def test_overlong_entry_strings_are_one_short_error():
                                    "entries": [[entry]]})
         assert str(exc_info.value) == message
 
+
+def test_long_values_are_quoted_in_part():
+    # a string outside the grammar, an index past the digit limit
+    for use in (lambda: ExactMatrix.from_rows([["7" * 5000 + "x"]]),
+                lambda: JordanSpec(SegreCharacteristic([[1]]),
+                                   ["7" * 5000 + ".5"])):
+        with pytest.raises(ValueError) as exc_info:
+            use()
+        message = str(exc_info.value)
+        assert message.startswith("entry strings must be an integer or 'p/q'")
+        assert len(message) < 200
+    a = ExactMatrix.identity(2)
+    for use, message in [
+            (lambda: a.entry(10 ** 5000, 0),
+             "(<positive int of 16610 bits>, 0) outside 2x2"),
+            (lambda: a[0, -10 ** 5000],
+             "(0, <negative int of 16610 bits>) outside 2x2"),
+            (lambda: a.row(10 ** 5000),
+             "row <positive int of 16610 bits> outside 2x2")]:
+        with pytest.raises(IndexError) as exc_info:
+            use()
+        assert str(exc_info.value) == message

@@ -1,5 +1,6 @@
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -203,3 +204,52 @@ def test_count_arguments_must_be_ints(entry, value):
     call, _ = COUNT_ARGUMENTS[entry]
     with pytest.raises(ValueError):
         call(value)
+
+
+# a value past sys.get_int_max_str_digits(), which repr() refuses
+HUGE = 10 ** 5000
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: Partition([2, -HUGE]), "partition part"),
+    (lambda: RankPattern(-HUGE, [1]), "dimension"),
+    (lambda: RankPattern(3, [3, HUGE]), "rank"),
+    (lambda: RankPattern(3, [3, -HUGE]), "rank"),
+    (lambda: RankPattern(HUGE, [HUGE, HUGE + 1]), "rank"),
+    (lambda: RankPattern(HUGE, [HUGE - 1]), "r_0 must equal the dimension"),
+    (lambda: RankPattern(HUGE, [HUGE, HUGE - 2, HUGE - 1]),
+     "ranks must be non-increasing"),
+    (lambda: count_segre_gf(-HUGE), "n"),
+    (lambda: ExactMatrix(-HUGE, 1, [0]), "rows"),
+    (lambda: ExactMatrix(HUGE, HUGE, [0]), "expected"),
+    (lambda: matrix_from_json_dict({"rows": HUGE, "cols": 1,
+                                    "entries": [[0]]}), '"entries"'),
+    (lambda: matrix_from_json_dict({"rows": 1, "cols": HUGE,
+                                    "entries": [[0]]}), "row 0"),
+    (lambda: StructureGrid([(-HUGE, 1)]), "block size"),
+    (lambda: rank_pattern_from_blocks(Partition([1]), -HUGE), "dimension"),
+    (lambda: rank_pattern_from_blocks(Partition([HUGE]), 3), "blocks sum"),
+])
+def test_a_huge_int_is_named_not_printed(call, name):
+    # the message is segrekit's, not Python's advice on the digit limit
+    with pytest.raises(ValueError) as exc_info:
+        call()
+    message = str(exc_info.value)
+    assert message.startswith(name) and len(message) < 200
+    assert "set_int_max_str_digits" not in message
+    assert " int of 16610 bits>" in message
+
+
+def test_shown_quotes_at_most_40_characters():
+    shown = partitions._shown
+    for value in (0, -12, "x" * 38, [7] * 13, 2.5, True, None):
+        assert len(repr(value)) <= 40 and shown(value) == repr(value)
+    assert shown("x" * 39) == shown("x" * 40) == "'" + "x" * 39 + "..."
+    assert shown(10 ** 45) == "1" + "0" * 39 + "..."
+    assert shown(HUGE) == "<positive int of 16610 bits>"
+    assert shown(-HUGE) == "<negative int of 16610 bits>"
+    assert shown(-(2 ** 20000)) == "<negative int of 20001 bits>"
+    assert shown(Fraction(HUGE, 3)) == "<Fraction too long to show>"
+    with pytest.raises(ValueError, match=r"^partition part must be a positive "
+                       r"integer, got <Fraction too long to show>$"):
+        Partition([Fraction(HUGE, 3)])
