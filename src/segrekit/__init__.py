@@ -20,9 +20,8 @@ _NAMES = {
     "partitions": ("InternalInconsistencyError", "Partition",
                    "enumerate_partitions", "iter_partition_tuples",
                    "partition_count"),
-    "segre": ("SegreCharacteristic", "SegreParseError", "count_segre_gf",
-              "count_segre_sum", "enumerate_segre", "format_segre",
-              "iter_segre", "parse_segre"),
+    "segre": ("SegreCharacteristic", "count_segre_gf", "count_segre_sum",
+              "enumerate_segre", "format_segre", "iter_segre"),
     "rank_analysis": ("NonMonotoneGrowthError", "RankPattern",
                       "blocks_from_rank_pattern", "nullity_growth",
                       "rank_pattern_from_blocks"),
@@ -33,7 +32,7 @@ _NAMES = {
                "IrrationalEigenvalueError", "JordanSpec", "analyze",
                "build_jordan", "rank_pattern_of"),
     "render": ("StructureGrid", "grid_of", "render_ascii", "render_ferrers",
-               "render_ferrers_conjugate_pair", "render_svg"),
+               "render_svg"),
 }
 
 __all__ = sorted(name for names in _NAMES.values() for name in names)

@@ -103,7 +103,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_analyze(args) -> int:
     import json
-    from .jordan import IrrationalEigenvalueError, analyze
+    from .jordan import IrrationalEigenvalueError, _eigenvalue_text, analyze
     from .linalg import matrix_from_json_dict
     try:
         with open(args.matrix_file, encoding="utf-8") as fh:
@@ -135,7 +135,7 @@ def cmd_analyze(args) -> int:
         sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     else:
         sys.stdout.write(f"segre: {report.segre}\n" + "".join(
-            f"eigenvalue {entry.eigenvalue}:\n"
+            f"eigenvalue {_eigenvalue_text(entry.eigenvalue)}:\n"
             f"  rank pattern: {entry.rank_pattern}\n"
             f"  blocks: {entry.blocks}\n" for entry in report.per_eigenvalue))
     return EXIT_OK

@@ -10,6 +10,7 @@ module turns its eigenvalues and patterns into the report.
 
 import math
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 
 from .linalg import ExactMatrix, shift, _rank_pattern, _ratio, _spectrum
@@ -87,6 +88,15 @@ class JordanSpec:
         return f"JordanSpec({self._segre!r}, {list(self._eigenvalues)!r})"
 
 
+def _eigenvalue_text(value: Fraction) -> str:
+    """str(value) for a Fraction of any size: Decimal writes every digit
+    of an int without sys.get_int_max_str_digits()."""
+    text = str(Decimal(value.numerator))
+    if value.denominator == 1:
+        return text
+    return text + "/" + str(Decimal(value.denominator))
+
+
 EigenvalueReport = namedtuple("EigenvalueReport",
                               "eigenvalue rank_pattern blocks")
 
@@ -103,7 +113,7 @@ class AnalysisReport(namedtuple("AnalysisReport", "segre per_eigenvalue")):
             "segre": str(self.segre),
             "eigenvalues": [
                 {
-                    "value": str(r.eigenvalue),
+                    "value": _eigenvalue_text(r.eigenvalue),
                     "rank_pattern": list(r.rank_pattern.ranks),
                     "blocks": list(r.blocks.parts),
                 }

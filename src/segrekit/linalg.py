@@ -81,11 +81,17 @@ class ExactMatrix:
         if len(es) != rows * cols:
             raise ValueError(f"expected {_shown(rows * cols)} entries for "
                              f"{_shown(rows)}x{_shown(cols)}, got {len(es)}")
+        self._store(rows, cols, es)
+
+    def _store(self, rows: int, cols: int, es: list) -> "ExactMatrix":
+        """Fill self, and return it, from rows*cols (p, q) pairs in lowest
+        terms, q >= 1, in row order."""
         # over the lcm of lowest-terms denominators no common factor is left
         d = math.lcm(*{q for _, q in es})
         flat = tuple(p * (d // q) for p, q in es)
         self._rows, self._cols, self._d = rows, cols, d
         self._ints = tuple(flat[i:i + cols] for i in range(0, len(flat), cols))
+        return self
 
     @classmethod
     def _from_ints(cls, ints: Sequence[Sequence[int]], d: int) -> "ExactMatrix":
@@ -819,5 +825,5 @@ def matrix_from_json_dict(data) -> ExactMatrix:
                 problem = "too long to read" if long else "not a valid fraction"
                 raise ValueError(
                     f"entry ({i}, {j}) is {problem}: {_shown(e)}") from exc
-            flat.append(Fraction(p, q) if q > 1 else p)
-    return ExactMatrix(rows, cols, flat)
+            flat.append((p, q))
+    return object.__new__(ExactMatrix)._store(rows, cols, flat)

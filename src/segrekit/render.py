@@ -9,7 +9,6 @@ SVG output is byte deterministic: same input, same bytes.
 
 import string
 from collections import namedtuple
-from itertools import zip_longest
 
 from .partitions import InternalInconsistencyError, Partition, _integer
 
@@ -154,11 +153,3 @@ def render_ferrers(p: Partition) -> str:
         raise ValueError("cannot draw an empty partition")
     return "\n".join("*" * part for part in p.parts)
 
-
-def render_ferrers_conjugate_pair(p: Partition) -> str:
-    """A partition and its conjugate side by side, three spaces apart."""
-    columns = zip_longest(render_ferrers(p).split("\n"),
-                          render_ferrers(p.conjugate()).split("\n"),
-                          fillvalue="")
-    return "\n".join((left.ljust(p.parts[0] + 3) + right).rstrip()
-                     for left, right in columns)

@@ -97,74 +97,6 @@ def _groups_text(groups) -> str:
     return "[" + ",".join(_group_text(g.parts) for g in groups) + "]"
 
 
-class SegreParseError(ValueError):
-    """Malformed Segre characteristic text; .position is the 0-based offset."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
-def parse_segre(text: str) -> SegreCharacteristic:
-    """Parse "[(2,1),(3),(1),(2,1)]".
-
-    Grammar: '[' group (',' group)* ']' where a group is either a
-    parenthesized comma-separated list of positive integers or a bare
-    integer (shorthand for a singleton group).  Whitespace between tokens
-    is ignored.  Group order is preserved.  Malformed text, a part too long
-    for int() among it, raises SegreParseError.
-    """
-    import re
-    # runs of ASCII digits and other non-space characters, each with its
-    # offset, then "" at the end of the text
-    tokens = [(m.start(), m[0]) for m in re.finditer(r"[0-9]+|\S", text)]
-    tokens.append((len(text), ""))
-    i = 0
-
-    def take(want: str) -> bool:
-        nonlocal i
-        if tokens[i][1] != want:
-            return False
-        i += 1
-        return True
-
-    def expect(want: str) -> None:
-        if not take(want):
-            raise SegreParseError(f"expected {want!r}", tokens[i][0])
-
-    def part() -> int:
-        nonlocal i
-        at, digits = tokens[i]
-        if not "0" <= digits[:1] <= "9":
-            raise SegreParseError("expected an integer", at)
-        try:
-            value = int(digits)
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise SegreParseError("integer too long", at) from None
-        if value < 1:
-            raise SegreParseError("parts must be >= 1", at)
-        i += 1
-        return value
-
-    def group() -> Partition:
-        if not take("("):
-            return Partition([part()])
-        parts = [part()]
-        while take(","):
-            parts.append(part())
-        expect(")")
-        return Partition(parts)
-
-    expect("[")
-    groups = [group()]
-    while take(","):
-        groups.append(group())
-    expect("]")
-    if tokens[i][1]:
-        raise SegreParseError("trailing characters", tokens[i][0])
-    return SegreCharacteristic(groups)
-
-
 # the most `rest` tuples whose candidate groups one run keeps: all through
 # n = 15; at n = 22 (2,003 rests) peak RSS is 18 MB, and 26 MB unbounded
 _MEMO_SIZE = 256

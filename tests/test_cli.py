@@ -314,6 +314,27 @@ def test_analyze_rejects_overlong_fraction_entry(tmp_path):
     assert done.stderr.count(b"\n") == 1 and len(done.stderr) < 200
 
 
+def test_analyze_writes_eigenvalues_past_the_digit_limit(tmp_path):
+    # entries of 4,300 nines, as many digits as int() reads; the eigenvalue
+    # 2a has 4,301, which str() of an int refuses
+    a = "9" * 4300
+    path = tmp_path / "big.json"
+    path.write_text('{"rows": 2, "cols": 2, "entries": [[%s, %s], [%s, %s]]}'
+                    % (a, a, a, a), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    outputs = {}
+    for form in ("text", "json"):
+        done = subprocess.run([sys.executable, "-m", "segrekit", "analyze",
+                               str(path), "--format", form], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        outputs[form] = done.stdout
+    two_a = "1" + "9" * 4299 + "8"
+    assert f"eigenvalue {two_a}:" in outputs["text"].splitlines()
+    values = [e["value"] for e in json.loads(outputs["json"])["eigenvalues"]]
+    assert values == ["0", two_a]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["count", "7" * 5000], "N: integer too long"),
     (["enumerate", "-" + "7" * 5000], "N: integer too long"),

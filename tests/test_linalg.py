@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from segrekit import (ExactMatrix, JordanSpec, PolynomialZ,
                       SegreCharacteristic, build_jordan, char_poly, mat_mul,
                       matrix_from_json_dict, rank, rational_eigenvalues, shift)
+from segrekit import linalg
 from segrekit.linalg import _rational_roots
 
 from oracles import (FractionMatrix, gaussian_rank, poly_from_linear_factors,
@@ -370,6 +371,17 @@ def test_json_round_trip():
     assert matrix_from_json_dict(d) == m
     d = {"rows": 1, "cols": 3, "entries": [["-7", "4/6", "0/5"]]}
     assert matrix_from_json_dict(d) == ExactMatrix.from_rows([[-7, "2/3", 0]])
+
+
+def test_json_entries_are_read_once(monkeypatch):
+    calls = []
+    ratio = linalg._ratio
+    monkeypatch.setattr(linalg, "_ratio",
+                        lambda value: calls.append(value) or ratio(value))
+    d = {"rows": 2, "cols": 2, "entries": [["1/2", 3], [0, "-4/6"]]}
+    m = matrix_from_json_dict(d)
+    assert len(calls) == 4
+    assert m.to_rows() == [[Fraction(1, 2), 3], [0, Fraction(-2, 3)]]
 
 
 def test_json_validation():

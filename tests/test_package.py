@@ -4,9 +4,12 @@ interpreter (-S, so no .pth file imports anything first), except the
 README's library example, which runs here."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import segrekit
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"
@@ -99,6 +102,13 @@ def test_module_names_import_their_modules():
     out = run_fresh("from segrekit import linalg\n"
                     "print(linalg.__name__, loaded())\n")
     assert out == f"segrekit.linalg {LIBRARY}\n"
+
+
+def test_readme_names_every_public_name():
+    # a public name is one the README promises
+    text = README.read_text(encoding="utf-8")
+    assert [name for name in segrekit.__all__
+            if not re.search(rf"\b{name}\b", text)] == []
 
 
 def test_readme_library_example():

@@ -4,8 +4,7 @@ import pytest
 
 from segrekit import (InternalInconsistencyError, JordanSpec, Partition,
                       SegreCharacteristic, StructureGrid, enumerate_segre,
-                      grid_of, render_ascii, render_ferrers,
-                      render_ferrers_conjugate_pair, render_svg)
+                      grid_of, render_ascii, render_ferrers, render_svg)
 from segrekit.render import _svg_pieces
 
 
@@ -86,18 +85,6 @@ def test_ferrers_goldens():
     assert render_ferrers(Partition([1, 1, 1])) == "*\n*\n*"
     with pytest.raises(ValueError):
         render_ferrers(Partition())
-
-
-def test_ferrers_conjugate_pair_golden():
-    text = render_ferrers_conjugate_pair(Partition([3, 2, 2, 1, 1, 1]))
-    assert text == ("***   ******\n"
-                    "**    ***\n"
-                    "**    *\n"
-                    "*\n"
-                    "*\n"
-                    "*")
-    # no trailing whitespace on any line
-    assert all(line == line.rstrip() for line in text.splitlines())
 
 
 def test_svg_counts_one_group_element_per_grid():

@@ -4,10 +4,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from segrekit import (Partition, SegreCharacteristic, SegreParseError,
-                      count_segre_gf, count_segre_sum, enumerate_segre,
-                      format_segre, iter_partition_tuples, iter_segre,
-                      parse_segre, partition_count, segre)
+from segrekit import (Partition, SegreCharacteristic, count_segre_gf,
+                      count_segre_sum, enumerate_segre, format_segre,
+                      iter_partition_tuples, iter_segre, partition_count,
+                      segre)
 
 from oracles import (brute_force_segre_multisets, canonical_groups,
                      multipartitions, segre_by_dedup_and_sort)
@@ -311,65 +311,3 @@ def test_format_golden():
     s = SegreCharacteristic([[2, 1], [3], [1], [2, 1]])
     assert format_segre(s) == "[(2,1),(3),(1),(2,1)]"
     assert str(SegreCharacteristic([[1]])) == "[(1)]"
-
-
-def test_parse_accepts_bare_singletons():
-    # mixed notation: singleton groups written without parentheses
-    s = parse_segre("[(2,1),3,1,(2,1)]")
-    assert [g.parts for g in s.groups] == [(2, 1), (3,), (1,), (2, 1)]
-    assert s == SegreCharacteristic([[2, 1], [3], [1], [2, 1]])
-
-
-def test_parse_ignores_whitespace():
-    assert parse_segre(" [ (2, 1) , (3) ] ") == SegreCharacteristic([[2, 1], [3]])
-
-
-def test_parse_format_round_trip_enumerations():
-    for n in range(1, 9):
-        for s in enumerate_segre(n):
-            back = parse_segre(format_segre(s))
-            assert back == s
-            assert [g.parts for g in back.groups] == [g.parts for g in s.groups]
-
-
-def test_parse_errors_carry_positions():
-    cases = {
-        "": 0,
-        "(1)": 0,
-        "[": 1,
-        "[]": 1,
-        "[()]": 2,
-        "[(1,)]": 4,
-        "[(1)": 4,
-        "[(1)] trailing": 6,
-        # digits are ASCII only; str.isdigit() would take these two
-        "[(\u0663)]": 2,
-        "[(\u00b2)]": 2,
-        # beyond int()'s digit limit
-        "[(" + "1" * 5000 + ")]": 2,
-    }
-    for text, pos in cases.items():
-        with pytest.raises(SegreParseError) as err:
-            parse_segre(text)
-        assert err.value.position == pos, text
-
-
-def test_parse_rejects_zero_part():
-    with pytest.raises(SegreParseError):
-        parse_segre("[(0)]")
-
-
-@st.composite
-def characteristics(draw):
-    groups = draw(st.lists(
-        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
-        min_size=1, max_size=4))
-    return SegreCharacteristic(groups)
-
-
-@given(characteristics())
-def test_parse_format_round_trip_random(s):
-    back = parse_segre(format_segre(s))
-    assert back == s
-    # formatting preserves the stored group order, so the round trip is literal
-    assert [g.parts for g in back.groups] == [g.parts for g in s.groups]
