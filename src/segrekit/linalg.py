@@ -13,13 +13,14 @@ back-substitute its echelon.
 Characteristic polynomials come from a Hessenberg reduction
 modulo primes just below 2**62, combined by the Chinese remainder theorem
 up to a Hadamard-type bound on the coefficients, which proves them; each
-reconstruction that differs from the one before it is a candidate, which
-_spectrum accepts only when the rank patterns of its roots certify it.  The
-polynomial is monic, so its rational roots are integers; the same primes
-give its square-free part by a modular gcd proven by exact division,
-whose roots modulo a small prime are lifted p-adically, in time
-polynomial in the bit size of the coefficients, and each root's
-multiplicity comes from division by x - y until a remainder is left.
+reconstruction that differs from the one before it and meets the trace is
+a candidate, which _spectrum accepts only when the rank patterns of its
+roots certify it.  The polynomial is monic, so its rational roots are
+integers; the same primes give its square-free part by a modular gcd
+proven by exact division, whose roots modulo a small prime are lifted
+p-adically, in time polynomial in the bit size of the coefficients, and
+each root's multiplicity comes from division by x - y until a remainder
+is left.
 Every exactness the integer arithmetic relies on is checked, and a failed
 check raises InternalInconsistencyError, which python -O does not remove.
 The public functions taking an ExactMatrix are thin wrappers over these
@@ -539,18 +540,20 @@ def _char_polys(b: list[list[int]]) -> Iterator[list[int]]:
 
     The coefficients mod the primes _prime(0), _prime(1), ... are combined
     by the Chinese remainder theorem with symmetric residues (von zur
-    Gathen and Gerhard, Modern Computer Algebra, ch. 5).  Each
-    reconstruction unlike the one before is yielded, the last once the
-    modulus exceeds 2 * prod_i (1 + ceil(|row_i(b)|_2)).  That is more
-    than twice every |c_{n-k}|: c_{n-k} is a signed sum of the k x k
-    principal minors, Hadamard bounds the minor on rows S by
-    prod_{i in S} |row_i|, and those products sum to the k-th elementary
-    symmetric function of the row norms, one of the nonnegative terms of
-    prod_i (1 + |row_i|).  An earlier candidate is the answer only if the
-    caller certifies it.  None comes twice: one that changed was not
+    Gathen and Gerhard, Modern Computer Algebra, ch. 5).  A reconstruction
+    unlike the one before is yielded only if its c_{n-1} is -trace(b), as
+    that of det(xI - b) is; the proven one, once the modulus exceeds
+    2 * prod_i (1 + ceil(|row_i(b)|_2)), raises InternalInconsistencyError
+    if not.  The bound is more than twice every |c_{n-k}|: c_{n-k} is a
+    signed sum of the k x k principal minors, Hadamard bounds the minor on
+    rows S by prod_{i in S} |row_i|, and those products sum to the k-th
+    elementary symmetric function of the row norms, one of the nonnegative
+    terms of prod_i (1 + |row_i|).  An earlier candidate is the answer only
+    if the caller certifies it.  None comes twice: one that changed was not
     congruent to the answer modulo the next modulus, and every later one is.
     """
     n = len(b)
+    minus_trace = -sum(row[k] for k, row in enumerate(b))
     bound = 2
     for row in b:
         s = sum(x * x for x in row)
@@ -560,22 +563,15 @@ def _char_polys(b: list[list[int]]) -> Iterator[list[int]]:
     for p in map(_prime, itertools.count()):
         new = _crt(coeffs, modulus, _char_poly_mod(b, p), p)
         modulus *= p
+        if new[n - 1] != minus_trace:
+            if modulus > bound:
+                raise InternalInconsistencyError(
+                    "characteristic polynomial must have c_{n-1} = -trace")
+        elif new != coeffs:
+            yield new
         if modulus > bound:
             break
-        if new != coeffs:
-            yield new
-            coeffs = new
-    if new[n - 1] != -sum(row[k] for k, row in enumerate(b)):
-        raise InternalInconsistencyError(
-            "characteristic polynomial must have c_{n-1} = -trace")
-    if new != coeffs:
-        yield new
-
-
-def _int_char_poly(b: list[list[int]]) -> list[int]:
-    """Coefficients of det(xI - b), lowest degree first: the last, proven
-    candidate of _char_polys."""
-    return list(_char_polys(b))[-1]
+        coeffs = new
 
 
 class PolynomialZ:
@@ -622,7 +618,8 @@ def char_poly(a: ExactMatrix) -> PolynomialZ:
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
-    return PolynomialZ(_int_char_poly(a._ints))
+    *_, proven = _char_polys(a._ints)
+    return PolynomialZ(proven)
 
 
 def _horner(coeffs: list[int], x: int) -> int:
@@ -678,8 +675,9 @@ def _integer_roots(f: list[int]) -> list[int]:
     divide f and f' exactly.  Modulo the smallest prime p with
     gcd(g, g') = 1 there, an integer root y of g is a simple root, found by
     trial modulo p and lifted by Newton's iteration modulo p^(2^k) (Loos,
-    SIAM J. Comput. 12, 1983) past twice the Cauchy bound 1 + max |g_i| on
-    |y|; a symmetric residue within the bound, if g vanishes there, is y.
+    SIAM J. Comput. 12, 1983), with 1/g'(y) lifted along, past twice the
+    Cauchy bound 1 + max |g_i| on |y|; a symmetric residue within the
+    bound, if g vanishes there, is y.
     """
     df = [i * c for i, c in enumerate(f) if i]
     h, modulus = f, 1  # more terms than any gcd of f and f'
@@ -703,14 +701,17 @@ def _integer_roots(f: list[int]) -> list[int]:
     for y in range(p):
         if _horner(g_p, y) % p:
             continue
-        q = p
+        q, s = p, pow(_horner(dg, y), -1, p)
         while q <= bound:
             q *= q
             v = dv = 0
             for c in reversed(g):  # g(y) and g'(y) modulo q
                 dv = (dv * y + v) % q
                 v = (v * y + c) % q
-            y = (y - v * pow(dv, -1, q)) % q
+            # y is a root mod r = q^(1/2), s is 1/g'(y) mod r^(1/2); a Newton
+            # step for the inverse makes s 1/g'(y) mod r, all y's step needs
+            s = s * (2 - dv * s) % q
+            y = (y - v * s) % q
         if y > q // 2:
             y -= q
         if 2 * abs(y) <= bound and _horner(g, y) == 0:
@@ -784,11 +785,8 @@ def rational_eigenvalues(a: ExactMatrix) -> tuple[list[tuple[Fraction, int]], in
     rational).  The roots of char_poly(a) are those of d*a, so each is
     divided by the clearing factor d.
     """
-    if not a.is_square:
-        raise ValueError("characteristic polynomial requires a square matrix")
-    b, d = a._ints, a._d
-    roots, remainder = _rational_roots(_int_char_poly(b))
-    return sorted((Fraction(mu, d), mult) for mu, mult in roots), remainder
+    roots, remainder = _rational_roots(list(char_poly(a).coefficients))
+    return sorted((Fraction(mu, a._d), mult) for mu, mult in roots), remainder
 
 
 def matrix_from_json_dict(data) -> ExactMatrix:

@@ -166,7 +166,8 @@ def test_exactness_checks_survive_python_O():
             lambda: linalg._replay(
                 linalg._eliminate([[2, 1], [1, 2], [0, 1]]),
                 [2, 1, Fraction(1, 2)]),
-            lambda: linalg._int_char_poly([[1, 2], [3, 4]]),
+            lambda: linalg.char_poly(
+                linalg.ExactMatrix.from_rows([[1, 2], [3, 4]])),
             # column 2 has a nonzero multiplier at step 0, so step 1 divides
             lambda: linalg._eliminate([[2, 1, 1], [1, 2, 1],
                                        [Fraction(1, 3), 1, 2]]),

@@ -49,6 +49,22 @@ def test_spec_positional():
     assert JordanSpec.positional([[2]]).eigenvalues == (1,)
 
 
+def test_spec_equality_hash_and_repr():
+    spec = JordanSpec([[2, 1], [1]], [1, "1/2"])
+    same = JordanSpec(SegreCharacteristic([[2, 1], [1]]),
+                      [Fraction(1), Fraction(1, 2)])
+    assert spec == same and hash(spec) == hash(same)
+    # the same pairs of group and eigenvalue in the other order: the
+    # characteristics are equal, the specs are not
+    swapped = JordanSpec([[1], [2, 1]], ["1/2", 1])
+    assert swapped.segre == spec.segre
+    assert spec != swapped
+    assert spec != JordanSpec([[2, 1], [1]], [1, 2])
+    assert spec != "[(2,1),(1)]" and spec.__eq__(spec.segre) is NotImplemented
+    assert repr(spec) == ("JordanSpec(SegreCharacteristic([[2, 1], [1]]), "
+                          "[Fraction(1, 1), Fraction(1, 2)])")
+
+
 def test_build_single_block():
     spec = JordanSpec(SegreCharacteristic([[2]]), [5])
     assert build_jordan(spec) == ExactMatrix.from_rows([[5, 1], [0, 5]])
@@ -323,6 +339,33 @@ def test_a_new_reconstruction_is_tried_at_once(monkeypatch):
     assert residues == [linalg._prime(i) for i in range(3)]
     assert len(candidates) == 2
     assert candidates[-1] == [2 ** 70, -2 ** 36, 1]
+
+
+def test_a_reconstruction_off_the_trace_is_never_searched(monkeypatch):
+    # x^2 - 2a x for a of 4,300 nines: c_1 = -2a needs about half the primes
+    # the bound asks for, and every reconstruction before it misses the
+    # trace; every one after it is the answer, so there is one candidate
+    a = 10 ** 4300 - 1
+    rows = [[a, a], [a, a]]
+    # the 461 primes found here stay out of the process-wide list
+    monkeypatch.setattr(linalg, "_PRIMES", list(linalg._PRIMES))
+    assert list(linalg._char_polys(rows)) == [[0, -2 * a, 1]]
+    searched = spy_on_root_searches(monkeypatch)
+    report = analyze(ExactMatrix.from_rows(rows))
+    assert [r.eigenvalue for r in report.per_eigenvalue] == [0, 2 * a]
+    assert searched == [[0, -2 * a, 1]]
+
+
+def test_no_candidate_off_the_trace_comes_before_the_error(monkeypatch):
+    # residues whose c_{n-1} disagrees with the trace: no reconstruction
+    # meets it, so the first thing the candidates give is the proven
+    # polynomial's error, not the first prime's wrong polynomial
+    residues = linalg._char_poly_mod
+    monkeypatch.setattr(linalg, "_char_poly_mod", lambda b, p: [
+        (c + (k == len(b) - 1)) % p for k, c in enumerate(residues(b, p))])
+    candidates = linalg._char_polys([[1, 10 ** 30, 0], [0, 1, 0], [0, 0, 2]])
+    with pytest.raises(InternalInconsistencyError, match="= -trace"):
+        next(candidates)
 
 
 def test_a_failed_polynomial_is_not_run_again(monkeypatch):

@@ -80,6 +80,20 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != ExactMatrix.from_rows([[1, 2, 3, 4]])
+    assert a != [[1, 2], [3, 4]] and a.__eq__([[1, 2], [3, 4]]) is NotImplemented
+
+
+def test_sums_need_two_matrices_of_one_shape():
+    a = ExactMatrix.from_rows([[1, 2], [3, 4]])
+    for use in (lambda: a + 1, lambda: 1 + a, lambda: a - 1, lambda: 1 - a,
+                lambda: a * None, lambda: a * 1.5, lambda: None * a):
+        with pytest.raises(TypeError):
+            use()
+    wide = ExactMatrix.from_rows([[1, 2, 3, 4]])
+    with pytest.raises(ValueError, match="^shape mismatch in addition$"):
+        a + wide
+    with pytest.raises(ValueError, match="^shape mismatch in subtraction$"):
+        a - wide
 
 
 def test_a_bool_is_never_a_number():
@@ -274,6 +288,8 @@ def test_polynomial_basics():
     assert PolynomialZ([5, 0]).coefficients == (5,)
     assert PolynomialZ() == PolynomialZ([0])
     assert hash(PolynomialZ([5, 0])) == hash(PolynomialZ([5]))
+    assert PolynomialZ([2, -3, 1]) != (2, -3, 1)
+    assert PolynomialZ([5]).__eq__(5) is NotImplemented
     with pytest.raises(ValueError):
         PolynomialZ([1.5])
 
@@ -363,6 +379,8 @@ def test_rational_eigenvalues_unscales():
     roots, remainder = rational_eigenvalues(
         ExactMatrix.from_rows([[0, 1], [2, 0]]))
     assert roots == [] and remainder == 2
+    with pytest.raises(ValueError, match="requires a square matrix"):
+        rational_eigenvalues(ExactMatrix.from_rows([[1, 2]]))
 
 
 def test_json_round_trip():

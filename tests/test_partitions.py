@@ -120,9 +120,13 @@ def test_partition_validation():
 
 
 def test_weight_and_len():
-    p = Partition([3, 1])
+    p = Partition([1, 3])
     assert p.weight == 4
     assert len(p) == 2
+    assert list(p) == [3, 1]
+    assert (p[0], p[-1], p[1:]) == (3, 1, (1,))
+    with pytest.raises(IndexError):
+        p[2]
     assert Partition().weight == 0
     assert not Partition()
 
@@ -163,6 +167,9 @@ def test_equality_and_hash():
     assert hash(Partition([2, 1])) == hash(Partition([1, 2]))
     assert Partition([2, 1]) != Partition([3])
     assert len({Partition([2, 1]), Partition([1, 2]), Partition([3])}) == 2
+    # a partition reads like its parts but is no tuple
+    assert Partition([2, 1]) != (2, 1)
+    assert Partition([2, 1]).__eq__((2, 1)) is NotImplemented
 
 
 # every count argument of the library, each with the least value it takes

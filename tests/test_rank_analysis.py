@@ -72,6 +72,8 @@ def test_pattern_from_blocks_golden():
     assert rank_pattern_from_blocks(Partition([2, 1]), 10).ranks == (10, 8, 7)
     assert rank_pattern_from_blocks(Partition([1]), 1).ranks == (1, 0)
     assert rank_pattern_from_blocks(Partition(), 5).ranks == (5,)
+    # a plain list of blocks, in any order, is read as a Partition
+    assert rank_pattern_from_blocks([1, 2], 10) == RankPattern(10, (10, 8, 7))
 
 
 def test_pattern_from_blocks_matches_oracle():
@@ -144,3 +146,4 @@ def test_equality_and_str_round_trip():
     rp = RankPattern(4, (4, 2, 1, 0))
     assert RankPattern.parse(str(rp)) == rp
     assert rp != RankPattern(4, (4, 2, 1))
+    assert rp != "n=4: 4,2,1,0" and rp.__eq__((4, 2, 1, 0)) is NotImplemented

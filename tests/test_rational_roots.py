@@ -14,9 +14,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from segrekit import (ExactMatrix, IrrationalEigenvalueError, JordanSpec,
-                      SegreCharacteristic, analyze, build_jordan)
-from segrekit.linalg import (_horner, _int_char_poly, _integer_roots,
-                             _rational_roots)
+                      SegreCharacteristic, analyze, build_jordan, char_poly)
+from segrekit import linalg
+from segrekit.linalg import _horner, _integer_roots, _rational_roots
 
 from oracles import divisor_rational_roots, fraction_rational_roots, poly_mul
 
@@ -104,7 +104,8 @@ def test_root_search_of_a_random_64x64_matrix():
     # with coefficients of about 300 bits and has no rational root
     rng = random.Random(64)
     b = [[rng.randint(-9, 9) for _ in range(64)] for _ in range(64)]
-    result, seconds = timed(_rational_roots, _int_char_poly(b))
+    f = list(char_poly(ExactMatrix.from_rows(b)).coefficients)
+    result, seconds = timed(_rational_roots, f)
     assert result == ([], 64)
     assert seconds < 1
 
@@ -122,6 +123,23 @@ def test_lifted_residues_beyond_the_cauchy_bound_are_not_evaluated(monkeypatch):
     monkeypatch.setattr("segrekit.linalg._horner", spy)
     assert _integer_roots([-7, 0, 1]) == []
     assert points and max(map(abs, points)) <= 8
+
+
+def test_lifting_inverts_no_big_modulus(monkeypatch):
+    # (x - a)(x - a - 1) with a of 4,300 digits, lifted 2-adically past
+    # 28,000 bits: 1/g'(y) is lifted along with y, so the only inverses
+    # taken are modulo the primes below 2^62 and modulo 2
+    a = 10 ** 4300 - 2
+    moduli = []
+
+    def spy(*args):
+        if len(args) == 3 and args[1] == -1:
+            moduli.append(args[2])
+        return pow(*args)
+
+    monkeypatch.setattr(linalg, "pow", spy, raising=False)
+    assert sorted(_integer_roots([a * (a + 1), -2 * a - 1, 1])) == [a, a + 1]
+    assert moduli and max(moduli).bit_length() <= 62
 
 
 def test_irrational_square_root_near_10_to_18():

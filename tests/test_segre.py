@@ -273,6 +273,8 @@ def test_group_order_preserved_but_equality_canonical():
     assert s == c
     assert hash(s) == hash(c)
     assert SegreCharacteristic([[1], [2]]) == SegreCharacteristic([[2], [1]])
+    assert s != [[2, 1], [3], [1], [2, 1]]
+    assert s.__eq__([[2, 1], [3], [1], [2, 1]]) is NotImplemented
 
 
 partitions_of_parts_1_to_5 = st.lists(
@@ -305,6 +307,8 @@ def test_characteristic_validation():
 def test_total_weight_and_flattened():
     s = SegreCharacteristic([[2, 1], [3]])
     assert s.total_weight == 6
+    assert len(s) == 2
+    assert list(s) == [Partition([2, 1]), Partition([3])]
 
 
 def test_format_golden():
